@@ -20,7 +20,6 @@ from .levi import (
     reinhardt_levi,
     short_coeff,
 )
-from .linalg import HermMatrix, SymMatrix, congruence, min_eig
 from .model import (
     SignedPermutation,
     SpaceKind,

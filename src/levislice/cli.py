@@ -100,6 +100,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once: validating through jsonschema.validate re-checks the schema per call
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 COMMANDS = ("levi-eval", "psh-check", "stein-classify", "envelope",
             "potential-eval", "verify")
 
@@ -333,10 +336,9 @@ def load_config(path: Optional[str], command: str, seed_override: Optional[int])
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message}") from error
     for key in _REQUIRED_KEYS[command]:
         if key not in config:
             raise ConfigError(f"command {command} requires config key {key!r}")
@@ -395,9 +397,14 @@ def cmd_levi_eval(config: dict) -> dict:
     f = _resolve_function(config, model)
     points = _check_points(config, model)
     factor = float(config.get("short_coeff_factor", 2))
-    results = [
-        assemble(model, f, H, short_coeff_factor=factor).to_json() for H in points
-    ]
+    try:
+        form = assemble(model, f, points, short_coeff_factor=factor)
+    except Exception:
+        # report the error of the first failing point, not of the whole stack
+        for H in points:
+            assemble(model, f, H, short_coeff_factor=factor)
+        raise
+    results = [form[i].to_json() for i in range(len(points))]
     mults = {str(label): mult for label, mult in positive_roots(model)}
     return {
         "command": "levi-eval",

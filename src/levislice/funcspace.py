@@ -8,10 +8,18 @@ chain rule.  Derivatives are computed by truncated second-order Taylor
 arithmetic (``Jet2``); ``fd_jet`` is an independent finite-difference oracle
 and is never used as a fallback.
 
+Evaluation is batched (Taylor-mode forward differentiation over a leading
+batch axis, Bettencourt, Johnson & Duvenaud 2019): every ``eval_jet`` and
+``to_slice`` maps an ``(..., r)`` array of points to a Jet2 with that leading
+shape, value ``(...)``, grad ``(..., r)``, hess ``(..., r, r)``, and a single
+point is the 0-d case.  An expression is therefore walked once per stack of
+points rather than once per point.
+
 The expression language works in the squared moduli t_j = rho_j^2, which makes
 torus invariance and evenness in each slice coordinate structural rather than
 checked.  Expressions that are not symmetric under coordinate permutations are
-symmetrized by averaging and flagged.
+symmetrized by averaging and flagged; the r! permutations are one more batch
+axis of the same walk.
 """
 
 from __future__ import annotations
@@ -53,25 +61,30 @@ class ExpressionError(ValueError):
 
 
 class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar at a point.
+    """Value, gradient and symmetric Hessian of a scalar at a stack of points.
 
-    Doubles as the number type of the forward-mode engine: arithmetic
-    propagates first and second derivatives exactly (truncated Taylor
-    arithmetic in r perturbation directions and their pairwise products).
+    The components carry the leading (batch) shape of the points: value
+    ``(...)``, grad ``(..., r)``, hess ``(..., r, r)``; a single point is the
+    0-d case.  Doubles as the number type of the forward-mode engine:
+    arithmetic propagates first and second derivatives exactly (truncated
+    Taylor arithmetic in r perturbation directions and their pairwise
+    products) and broadcasts over the leading axes like numpy arrays.
     """
 
     __slots__ = ("value", "grad", "hess")
 
     def __init__(self, value, grad, hess, _symmetrize=True):
-        self.value = float(value)
+        self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         hess = np.asarray(hess, dtype=float)
         if _symmetrize:
-            asym = np.max(np.abs(hess - hess.T)) if hess.size else 0.0
-            scale = 1.0 + np.max(np.abs(hess)) if hess.size else 1.0
-            if asym > 1e-12 * scale:
-                raise ValueError(f"Hessian asymmetry {asym:.3e} exceeds tolerance")
-            hess = 0.5 * (hess + hess.T)
+            hess_t = np.swapaxes(hess, -1, -2)
+            # checked point by point, each against its own scale
+            asym = np.max(np.abs(hess - hess_t), axis=(-2, -1), initial=0.0)
+            scale = 1.0 + np.max(np.abs(hess), axis=(-2, -1), initial=0.0)
+            if np.any(asym > 1e-12 * scale):
+                raise ValueError(f"Hessian asymmetry {np.max(asym):.3e} exceeds tolerance")
+            hess = 0.5 * (hess + hess_t)
         self.hess = hess
 
     @staticmethod
@@ -86,30 +99,25 @@ class Jet2:
 
     @property
     def rank(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     def is_finite(self) -> bool:
-        return (
-            math.isfinite(self.value)
-            and bool(np.all(np.isfinite(self.grad)))
-            and bool(np.all(np.isfinite(self.hess)))
+        return bool(
+            np.all(np.isfinite(self.value))
+            and np.all(np.isfinite(self.grad))
+            and np.all(np.isfinite(self.hess))
         )
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Jet2):
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet2.constant(float(other), self.rank)
-        return NotImplemented
+    # Plain numbers take short cuts that skip their all-zero derivatives.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess,
-                    _symmetrize=False)
+        if isinstance(other, Jet2):
+            return Jet2(self.value + other.value, self.grad + other.grad,
+                        self.hess + other.hess, _symmetrize=False)
+        if isinstance(other, _NUMBER):
+            return Jet2(self.value + other, self.grad, self.hess, _symmetrize=False)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -117,93 +125,107 @@ class Jet2:
         return Jet2(-self.value, -self.grad, -self.hess, _symmetrize=False)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, (Jet2, *_NUMBER)):
             return NotImplemented
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess,
-                    _symmetrize=False)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, _NUMBER):
+            return Jet2(self.value * other, self.grad * other, self.hess * other,
+                        _symmetrize=False)
+        if not isinstance(other, Jet2):
             return NotImplemented
-        cross = np.outer(self.grad, o.grad)
+        v, w = self.value[..., None], other.value[..., None]
+        cross = _outer(self.grad, other.grad)
         return Jet2(
-            self.value * o.value,
-            self.grad * o.value + self.value * o.grad,
-            self.hess * o.value + cross + cross.T + self.value * o.hess,
+            self.value * other.value,
+            self.grad * w + v * other.grad,
+            self.hess * w[..., None] + cross + np.swapaxes(cross, -1, -2)
+            + v[..., None] * other.hess,
             _symmetrize=False,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, _NUMBER):
+            return self.__mul__(1.0 / other)
+        if not isinstance(other, Jet2):
             return NotImplemented
-        return self.__mul__(_lift(o, 1.0 / o.value, -1.0 / o.value**2, 2.0 / o.value**3))
+        return self.__mul__(_reciprocal(other))
 
     def __rtruediv__(self, other):
-        return _lift(self, 1.0 / self.value, -1.0 / self.value**2, 2.0 / self.value**3) * other
+        return _reciprocal(self) * other
 
     def __pow__(self, p):
         if isinstance(p, Jet2):
             return jet_exp(p * jet_log(self))
         p = float(p)
+        if p == 0:
+            return Jet2(np.ones_like(self.value), np.zeros_like(self.grad),
+                        np.zeros_like(self.hess), _symmetrize=False)
+        if p == 1:
+            return self
         v = self.value
-        if v < 0 and p != round(p):
-            raise NonFiniteJetError(f"negative base {v} with non-integer exponent {p}")
-        if v == 0.0 and p < 2:
-            if p == 0:
-                return Jet2.constant(1.0, self.rank)
-            if p == 1:
-                return Jet2(self.value, self.grad, self.hess, _symmetrize=False)
+        if p != round(p) and np.any(v < 0):
+            raise NonFiniteJetError(
+                f"negative base {v[v < 0].flat[0]} with non-integer exponent {p}")
+        if p < 2 and np.any(v == 0.0):
             raise NonFiniteJetError(f"zero base with exponent {p} < 2 has no finite jet")
-        f0 = v**p
-        f1 = p * v ** (p - 1)
-        f2 = p * (p - 1) * (v ** (p - 2) if (v != 0.0 or p != 2) else 1.0)
-        if v == 0.0 and p == 2:
-            f2 = 2.0
-        return _lift(self, f0, f1, f2)
+        # for p >= 2 every power below is finite at v = 0 (0.0**0 == 1)
+        return _lift(self, v**p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
 
     def __repr__(self):
         return f"Jet2(value={self.value!r}, grad={self.grad!r})"
 
 
-def _lift(u: Jet2, f0: float, f1: float, f2: float) -> Jet2:
+_NUMBER = (int, float, np.floating, np.integer)
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[..., :, None] * y[..., None, :]
+
+
+def _lift(u: Jet2, f0, f1, f2) -> Jet2:
     """Compose a scalar map with known derivatives f0 = f(u), f1 = f'(u), f2 = f''(u)."""
+    f1, f2 = np.asarray(f1)[..., None], np.asarray(f2)[..., None, None]
     return Jet2(
         f0,
         f1 * u.grad,
-        f1 * u.hess + f2 * np.outer(u.grad, u.grad),
+        f1[..., None] * u.hess + f2 * _outer(u.grad, u.grad),
         _symmetrize=False,
     )
 
 
+def _reciprocal(u: Jet2) -> Jet2:
+    v = u.value
+    return _lift(u, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+
+
 def jet_exp(u: Jet2) -> Jet2:
-    e = math.exp(u.value)
+    e = np.exp(u.value)
     return _lift(u, e, e, e)
 
 
 def jet_log(u: Jet2) -> Jet2:
-    if u.value <= 0:
-        raise NonFiniteJetError(f"log of non-positive value {u.value}")
-    return _lift(u, math.log(u.value), 1.0 / u.value, -1.0 / u.value**2)
+    if np.any(u.value <= 0):
+        raise NonFiniteJetError(f"log of non-positive value {u.value[u.value <= 0].flat[0]}")
+    return _lift(u, np.log(u.value), 1.0 / u.value, -1.0 / u.value**2)
 
 
 def jet_cosh(u: Jet2) -> Jet2:
-    return _lift(u, math.cosh(u.value), math.sinh(u.value), math.cosh(u.value))
+    return _lift(u, np.cosh(u.value), np.sinh(u.value), np.cosh(u.value))
 
 
 def jet_sinh(u: Jet2) -> Jet2:
-    return _lift(u, math.sinh(u.value), math.cosh(u.value), math.sinh(u.value))
+    return _lift(u, np.sinh(u.value), np.cosh(u.value), np.sinh(u.value))
 
 
 def jet_tanh(u: Jet2) -> Jet2:
-    t = math.tanh(u.value)
+    t = np.tanh(u.value)
     sech2 = 1.0 - t * t
     return _lift(u, t, sech2, -2.0 * t * sech2)
 
@@ -217,6 +239,11 @@ _JET_FUNCS = {
 }
 
 
+def diag_matrix(d: np.ndarray) -> np.ndarray:
+    """Stack of diagonal matrices ``(..., r, r)`` from diagonals ``(..., r)``."""
+    return d[..., :, None] * np.eye(d.shape[-1])
+
+
 # ---------------------------------------------------------------------------
 # invariant functions
 
@@ -225,9 +252,11 @@ _JET_FUNCS = {
 class InvariantFunction:
     """A signed-permutation-invariant function given by a native-chart jet callback.
 
-    ``eval_jet`` maps a native-chart point (ndarray of length ``rank``) to the
-    Jet2 of the function at that point, with derivatives taken in the native
-    chart's coordinates.
+    ``eval_jet`` maps native-chart points, an ``(..., rank)`` array, to the
+    Jet2 of the function with that leading shape (a single point is the 0-d
+    case), with derivatives taken in the native chart's coordinates.  Calls
+    go through ``__call__``, which evaluates under ``np.errstate`` and turns
+    any non-finite result into NonFiniteJetError.
     """
 
     rank: int
@@ -238,61 +267,65 @@ class InvariantFunction:
     label: Optional[str] = None
 
     def __call__(self, point: Sequence[float]) -> Jet2:
-        jet = self.eval_jet(np.asarray(point, dtype=float))
+        point = np.asarray(point, dtype=float)
+        with np.errstate(all="ignore"):
+            jet = self.eval_jet(point)
         if not jet.is_finite():
             raise NonFiniteJetError(
-                f"non-finite jet of {self.label or 'function'} at {list(point)}"
+                f"non-finite jet of {self.label or 'function'} at {point.tolist()}"
             )
         return jet
 
 
 def to_slice(f: InvariantFunction, H: Sequence[float]) -> Jet2:
-    """Jet of the slice-chart restriction at H, via the chart chain rule.
+    """Jet of the slice-chart restriction at the points H, ``(..., rank)``, via
+    the chart chain rule.
 
     Modulus chart: d/da_j picks up sech^2(a_j) and the diagonal Hessian
     correction -2 sinh a_j / cosh^3 a_j.  Log chart: s_j = log tanh a_j with
     s_j' = 2 / sinh 2a_j, defined only for a_j > 0.
     """
     H = np.asarray(H, dtype=float)
-    if H.shape != (f.rank,):
-        raise ValueError(f"point has shape {H.shape}, expected ({f.rank},)")
+    if H.shape[-1:] != (f.rank,):
+        raise ValueError(f"point has shape {H.shape}, expected (..., {f.rank})")
     if f.chart is Chart.SLICE:
         return f(H)
 
     if f.chart is Chart.MODULUS:
         rho = np.tanh(H)
-        if f.domain_hint is not None and not f.domain_hint.contains(np.abs(rho)):
+        if f.domain_hint is not None and not all(
+            f.domain_hint.contains(m) for m in np.abs(rho).reshape(-1, f.rank)
+        ):
             raise ChartDomainError(f"moduli {np.abs(rho)} outside the domain hint")
         jet = f(rho)
-        sech2 = 1.0 / np.cosh(H) ** 2
-        grad = jet.grad * sech2
-        hess = jet.hess * np.outer(sech2, sech2)
-        hess[np.diag_indices_from(hess)] += (
-            -jet.grad * 2.0 * np.sinh(H) / np.cosh(H) ** 3
-        )
-        return Jet2(jet.value, grad, hess)
+        with np.errstate(all="ignore"):
+            s1 = 1.0 / np.cosh(H) ** 2
+            diag = -jet.grad * 2.0 * np.sinh(H) / np.cosh(H) ** 3
+    else:  # log chart
+        if np.any(H <= 0):
+            raise ChartDomainError(f"log chart requires all a_j > 0, got {H}")
+        jet = f(np.log(np.tanh(H)))
+        with np.errstate(all="ignore"):
+            s1 = 2.0 / np.sinh(2.0 * H)
+            diag = jet.grad * (-4.0 * np.cosh(2.0 * H) / np.sinh(2.0 * H) ** 2)
 
-    # log chart
-    if np.any(H <= 0):
-        raise ChartDomainError(f"log chart requires all a_j > 0, got {H}")
-    s = np.log(np.tanh(H))
-    jet = f(s)
-    s1 = 2.0 / np.sinh(2.0 * H)
-    s2 = -4.0 * np.cosh(2.0 * H) / np.sinh(2.0 * H) ** 2
-    grad = jet.grad * s1
-    hess = jet.hess * np.outer(s1, s1)
-    hess[np.diag_indices_from(hess)] += jet.grad * s2
-    return Jet2(jet.value, grad, hess)
+    hess = jet.hess * _outer(s1, s1)
+    idx = np.arange(f.rank)
+    hess[..., idx, idx] += diag
+    out = Jet2(jet.value, jet.grad * s1, hess)
+    if not out.is_finite():
+        raise NonFiniteJetError(f"non-finite chart derivatives of {f.label or 'function'}")
+    return out
 
 
 def slice_value(f: InvariantFunction, H: Sequence[float]) -> float:
-    """Value-only evaluation on the slice; non-finite values become +inf.
+    """Value-only evaluation at one slice point; non-finite values become +inf.
 
     Used by derivative-free search where a blow-up near an exhaustion
     boundary is data, not an error.
     """
     try:
-        return to_slice(f, H).value
+        return float(to_slice(f, H).value)
     except NonFiniteJetError:
         return math.inf
 
@@ -555,24 +588,26 @@ def parse_invariant(expr: str, r: int) -> InvariantFunction:
     parser = _Parser(expr, r)
     ast = parser.parse()
     symmetric = _is_permutation_symmetric(ast, r)
-    perms = [tuple(range(r))] if symmetric else list(itertools.permutations(range(r)))
+    perms = np.array([tuple(range(r))] if symmetric
+                     else list(itertools.permutations(range(r))))
+    # Permutations are one more batch axis: variable j of the AST reads
+    # t_{perm[j]}, seeded with gradient 2 rho e_{perm[j]} and Hessian
+    # 2 e_{perm[j]} e_{perm[j]}^T, so one walk covers every point and perm.
+    picks = np.eye(r)[perms]                       # (P, r, r): [p, j] = e_{perm_p[j]}
+    seed_hess = 2.0 * _outer(picks, picks)         # (P, r, r, r)
 
     def eval_jet(rho: np.ndarray) -> Jet2:
-        seeds = []
-        for j in range(r):
-            g = np.zeros(r)
-            g[j] = 2.0 * rho[j]
-            h = np.zeros((r, r))
-            h[j, j] = 2.0
-            seeds.append(Jet2(rho[j] * rho[j], g, h, _symmetrize=False))
-        total = None
-        for perm in perms:
-            env = [seeds[perm[j]] for j in range(r)]
-            val = _eval_ast(ast, env)
-            if not isinstance(val, Jet2):
-                val = Jet2.constant(float(val), r)
-            total = val if total is None else total + val
-        return total * (1.0 / len(perms))
+        x = rho[..., perms]                        # (..., P, r)
+        lead = x.shape[:-1]
+        env = [Jet2(x[..., j] * x[..., j], (2.0 * x[..., j, None]) * picks[:, j],
+                    seed_hess[:, j], _symmetrize=False) for j in range(r)]
+        out = _eval_ast(ast, env)
+        if not isinstance(out, Jet2):
+            out = Jet2.constant(float(out), r)
+        return Jet2(np.broadcast_to(out.value, lead).mean(axis=-1),
+                    np.broadcast_to(out.grad, lead + (r,)).mean(axis=-2),
+                    np.broadcast_to(out.hess, lead + (r, r)).mean(axis=-3),
+                    _symmetrize=False)
 
     return InvariantFunction(
         rank=r,

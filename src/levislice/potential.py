@@ -17,15 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcspace import Chart, InvariantFunction, Jet2
+from .funcspace import Chart, InvariantFunction, Jet2, diag_matrix
 from .model import SymmetricSpaceModel
 
 
-def rho_hat(t: float) -> float:
-    """log((cosh t + 1)/2), evaluated in overflow-safe form for any t."""
-    a = abs(t)
+def rho_hat(t):
+    """log((cosh t + 1)/2), evaluated in overflow-safe form for any t (or array of t)."""
+    a = np.abs(t)
     # (cosh t + 1)/2 = e^a (1 + e^-a)^2 / 4
-    return a - 2.0 * math.log(2.0) + 2.0 * math.log1p(math.exp(-a))
+    return a - 2.0 * math.log(2.0) + 2.0 * np.log1p(np.exp(-a))
 
 
 def rho_hat_d1(t: float) -> float:
@@ -50,11 +50,12 @@ class KillingPotential:
         return potential_value(self.model, H)
 
     def slice_jet(self, H: np.ndarray) -> Jet2:
+        """Closed-form jet at the slice points H, ``(..., rank)``."""
         H = np.asarray(H, dtype=float)
         b = self.model.killing_b
-        value = 0.25 * b * sum(rho_hat(2.0 * a) for a in H)
+        value = 0.25 * b * np.sum(rho_hat(2.0 * H), axis=-1)
         grad = 0.5 * b * np.tanh(H)
-        hess = np.diag(0.5 * b / np.cosh(H) ** 2)
+        hess = diag_matrix(0.5 * b / np.cosh(H) ** 2)
         return Jet2(value, grad, hess, _symmetrize=False)
 
 
@@ -100,9 +101,9 @@ def killing_potential_modulus(model: SymmetricSpaceModel) -> InvariantFunction:
         if np.any(np.abs(rho) >= 1.0):
             raise ValueError(f"moduli must lie in (-1, 1), got {rho}")
         one_minus = 1.0 - rho * rho
-        value = -0.25 * b * float(np.sum(np.log(one_minus)))
+        value = -0.25 * b * np.sum(np.log(one_minus), axis=-1)
         grad = 0.5 * b * rho / one_minus
-        hess = np.diag(0.5 * b * (1.0 + rho * rho) / one_minus**2)
+        hess = diag_matrix(0.5 * b * (1.0 + rho * rho) / one_minus**2)
         return Jet2(value, grad, hess, _symmetrize=False)
 
     return InvariantFunction(rank=r, chart=Chart.MODULUS, eval_jet=eval_jet,

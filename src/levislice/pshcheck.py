@@ -8,6 +8,11 @@ directly, except that strictness claims for non-tube models on non-complete
 shadows are downgraded to Inconclusive (such domains are never Stein and the
 equivalence breaks down there).
 
+The evaluation grid is an ``(N, r)`` array of chamber points, evaluated as
+stacks: one jet, one block assembly and one ``np.linalg.eigvalsh`` per chunk
+of points.  Each reported minimum's witness is the first grid point, in grid
+order, that attains it; ties within rounding go to the earlier point.
+
 All verdicts are certificates over the evaluation grid only, and the report
 says so.
 """
@@ -15,13 +20,12 @@ says so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
 from .funcspace import InvariantFunction, slice_value, to_slice
 from .levi import assemble
 from .model import SpaceKind, SymmetricSpaceModel
@@ -75,77 +79,102 @@ class CheckReport:
         }
 
 
-def chamber_grid(shadow: ReinhardtShadow, grid_n: int) -> list:
-    """Chamber-reduced slice points covering the shadow, grid_n samples/axis/box."""
+def chamber_grid(shadow: ReinhardtShadow, grid_n: int) -> np.ndarray:
+    """Chamber-reduced slice points covering the shadow, grid_n samples/axis/box.
+
+    Returns an ``(N, r)`` array of distinct points a_1 >= ... >= a_r >= 0 in
+    the order a walk over each box's index product (boxes in order,
+    lexicographic indices) first meets them.  The points of a box are built
+    one axis at a time as sorted partial tuples, keeping the first of equal
+    ones, so memory grows with the distinct points, not with grid_n^r.
+    """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    seen = set()
-    points = []
+    k = np.arange(grid_n)
+    per_box = []
     for lo, hi in shadow.boxes:
-        axes = [
-            [lo[j] + (hi[j] - lo[j]) * k / grid_n for k in range(grid_n)]
-            for j in range(shadow.rank)
-        ]
-        for rho in _product(axes):
-            a = np.sort(np.arctanh(np.asarray(rho)))[::-1]
-            key = tuple(np.round(a, 12))
-            if key not in seen:
-                seen.add(key)
-                points.append(a)
-    return points
+        points = np.empty((1, 0))
+        for j in range(shadow.rank):
+            axis = np.arctanh(lo[j] + (hi[j] - lo[j]) * k / grid_n)
+            # every partial tuple, in walk order, extended by every axis value
+            grown = np.concatenate([np.repeat(points, grid_n, axis=0),
+                                    np.tile(axis, len(points))[:, None]], axis=1)
+            points = -np.sort(-grown, axis=1)
+            points = _first_unique(points, points)
+        per_box.append(points)
+    points = np.concatenate(per_box)
+    return _first_unique(points, np.round(points, 12))
 
 
-def _product(axes):
-    if not axes:
-        yield ()
-        return
-    for head in axes[0]:
-        for tail in _product(axes[1:]):
-            yield (head,) + tail
+def _first_unique(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The rows whose key row equals no earlier one, in order."""
+    order = np.lexsort(keys.T)  # stable: equal keys stay in row order
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return rows[np.sort(order[first])]
+
+
+# Rows evaluated per batch: bounds the jet arrays, (CHUNK_ROWS * r! * r^2)
+# floats for a symmetrized expression, independently of the grid size.
+CHUNK_ROWS = 1024
+
+
+def _block_minima(model: SymmetricSpaceModel, f: InvariantFunction, H: np.ndarray,
+                  short_coeff_factor: float) -> tuple:
+    """Least a-block eigenvalue, medium and short coefficient at each point."""
+    form = assemble(model, f, H, short_coeff_factor=short_coeff_factor)
+    return (np.linalg.eigvalsh(form.a_block)[..., 0], form.min_medium(),
+            form.min_short())
 
 
 def check_invariant_psh(model: SymmetricSpaceModel, f: InvariantFunction,
                         shadow: ReinhardtShadow, grid_n: int = 8,
                         tolerance: float = 1e-9,
                         short_coeff_factor: float = 2.0) -> CheckReport:
-    """Grid verdict on (strict) plurisubharmonicity of f over the shadow."""
+    """Grid verdict on (strict) plurisubharmonicity of f over the shadow.
+
+    The grid is evaluated in chunks of CHUNK_ROWS points.  Each minimum's
+    witness is the first grid point (in ``chamber_grid`` order) attaining it.
+    If a chunk fails, its points are evaluated one by one and the first
+    failing one is reported in a GridEvaluationError.
+    """
     grid = chamber_grid(shadow, grid_n)
-    if not grid:
+    if not len(grid):
         raise ValueError("empty evaluation grid")
     classification = classify_domain(model, shadow)
 
-    min_eig = math.inf
-    min_eig_at = None
-    min_medium = math.inf
-    min_medium_at = None
-    min_short = math.inf
-    min_short_at = None
-    for H in grid:
+    minima = []
+    for start in range(0, len(grid), CHUNK_ROWS):
+        chunk = grid[start:start + CHUNK_ROWS]
         try:
-            form = assemble(model, f, H, short_coeff_factor=short_coeff_factor)
-            eig = linalg.min_eig(form.a_block)
+            minima.append(_block_minima(model, f, chunk, short_coeff_factor))
         except Exception as exc:  # noqa: BLE001 - reported with the point
-            raise GridEvaluationError(H, exc) from exc
-        if eig < min_eig:
-            min_eig, min_eig_at = eig, H
-        if form.medium:
-            m = form.min_medium()
-            if m < min_medium:
-                min_medium, min_medium_at = m, H
-        if form.short:
-            s = form.min_short()
-            if s < min_short:
-                min_short, min_short_at = s, H
+            for H in chunk:
+                try:
+                    _block_minima(model, f, H, short_coeff_factor)
+                except Exception as row_exc:  # noqa: BLE001
+                    raise GridEvaluationError(H, row_exc) from row_exc
+            raise GridEvaluationError(chunk[0], exc) from exc
+    eigs, mediums, shorts = (np.concatenate(m) for m in zip(*minima))
+
+    def least(values):
+        i = int(np.argmin(values))
+        return float(values[i]), grid[i]
 
     tube = model.kind is SpaceKind.TUBE
+    min_eig, min_eig_at = least(eigs)
+    candidates = [(min_eig, min_eig_at)]
+    min_medium = min_short = math.inf
+    if model.rank > 1:
+        min_medium, at = least(mediums)
+        candidates.append((min_medium, at))
+    if not tube:
+        min_short, at = least(shorts)
+        candidates.append((min_short, at))
     if classification.stein:
         basis, witness = min_eig, min_eig_at
     else:
-        candidates = [(min_eig, min_eig_at)]
-        if min_medium_at is not None:
-            candidates.append((min_medium, min_medium_at))
-        if min_short_at is not None:
-            candidates.append((min_short, min_short_at))
         basis, witness = min(candidates, key=lambda c: c[0])
 
     if basis < -tolerance:
@@ -161,9 +190,8 @@ def check_invariant_psh(model: SymmetricSpaceModel, f: InvariantFunction,
     return CheckReport(
         verdict=verdict,
         min_a_block_eig=min_eig,
-        min_medium=min_medium if min_medium_at is not None else math.inf,
-        min_short=(min_short if min_short_at is not None else math.nan) if not tube
-        else math.nan,
+        min_medium=min_medium,
+        min_short=math.nan if tube else min_short,
         witness_point=witness,
         grid_spec=f"chamber grid, {grid_n} samples/axis, {len(grid)} points "
                   f"(certificate over the grid only)",
@@ -224,21 +252,14 @@ def convess_properties(f: InvariantFunction, amax: float = 1.5, n: int = 9,
         raise ValueError("diagnostic is defined for rank-two functions only")
     pos = np.linspace(amax / n, amax, n)
     anywhere = np.linspace(0.0, amax, n)
-
-    min_slope = math.inf
-    max_defect = 0.0
-    max_wall = 0.0
-    for a1 in pos:
-        for a2 in anywhere:
-            jet = to_slice(f, np.array([a1, a2]))
-            min_slope = min(min_slope, jet.grad[0])
-            neg = to_slice(f, np.array([-a1, a2]))
-            min_slope = min(min_slope, -neg.grad[0])
-            swapped = to_slice(f, np.array([a2, a1]))
-            max_defect = max(max_defect, abs(jet.grad[1] - swapped.grad[0]))
-    for a2 in anywhere:
-        jet = to_slice(f, np.array([0.0, a2]))
-        max_wall = max(max_wall, abs(jet.grad[0]))
+    a1, a2 = (x.ravel() for x in np.meshgrid(pos, anywhere, indexing="ij"))
+    jet = to_slice(f, np.stack([a1, a2], axis=-1))
+    neg = to_slice(f, np.stack([-a1, a2], axis=-1))
+    swapped = to_slice(f, np.stack([a2, a1], axis=-1))
+    wall = to_slice(f, np.stack([np.zeros(n), anywhere], axis=-1))
+    min_slope = float(min(np.min(jet.grad[:, 0]), np.min(-neg.grad[:, 0])))
+    max_defect = float(np.max(np.abs(jet.grad[:, 1] - swapped.grad[:, 0])))
+    max_wall = float(np.max(np.abs(wall.grad[:, 0])))
 
     return ConvessReport(
         monotone_pass=min_slope > 0.0,
@@ -299,7 +320,7 @@ def locate_minimum(f: InvariantFunction, shadow: ReinhardtShadow,
     against the shadow boundary, which violates the exhaustion hypothesis.
     """
     grid = chamber_grid(shadow, grid_n)
-    if not grid:
+    if not len(grid):
         raise ValueError("empty search grid")
 
     best_point = None

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from levislice.funcspace import Chart, InvariantFunction, Jet2, parse_invariant, to_slice
+from levislice.funcspace import (
+    Chart,
+    InvariantFunction,
+    Jet2,
+    add_invariant,
+    diag_matrix,
+    parse_invariant,
+    to_slice,
+)
 from levislice.levi import (
     DEGENERACY_EPS,
     a_block,
@@ -293,3 +301,81 @@ def test_limit_continuity_across_branches(expr):
 
 def test_branch_threshold_is_small():
     assert DEGENERACY_EPS == pytest.approx(1e-6)
+
+
+# -- stacks ---------------------------------------------------------------------
+
+
+def _log_chart_function(r):
+    """f(s) = |s|^2 + (sum s)^2 / 2 + s_1 in the log chart, on stacks of points."""
+    def eval_jet(s):
+        total = np.sum(s, axis=-1)
+        grad = 2.0 * s + total[..., None]
+        grad[..., 0] += 1.0
+        return Jet2(np.sum(s * s, axis=-1) + 0.5 * total**2 + s[..., 0], grad,
+                    diag_matrix(2.0 * np.ones_like(s)) + 1.0)
+
+    return InvariantFunction(rank=r, chart=Chart.LOG, eval_jet=eval_jet)
+
+
+def _stack_function(r, chart):
+    # non-symmetric (symmetrized over r! permutations), with t^1 factors that
+    # vanish on the hyperplanes, where a naive power jet would give 0 * 0^-1
+    expr = ("t1^1*t2 + t2^2" if r > 1 else "t1^1 + t1^2") + " - 0.5*log(1 - t1)"
+    if chart is Chart.MODULUS:
+        return parse_invariant(expr, r)
+    if chart is Chart.SLICE:
+        model = SymmetricSpaceModel(rank=r)
+        return add_invariant([killing_potential_invariant(model), parse_invariant(expr, r)],
+                             weights=[1.0, 0.3])
+    return _log_chart_function(r)
+
+
+def _stack_points(r, chart, rng):
+    """Generic points, hyperplane points (a_j = 0), walls a_j = +-a_l, the origin."""
+    points = [rng.uniform(0.1, 1.5, size=r) * rng.choice([-1.0, 1.0], size=r)
+              for _ in range(4)]
+    for j in range(r):
+        if chart is not Chart.LOG:
+            H = rng.uniform(0.1, 1.5, size=r)
+            H[j] = 0.0
+            points.append(H)
+        for l in range(j + 1, r):
+            H = rng.uniform(0.1, 1.5, size=r)
+            H[l] = H[j] * (-1.0 if l % 2 else 1.0)
+            points.append(H)
+    if chart is not Chart.LOG:
+        points.append(np.zeros(r))
+    return np.array(points)
+
+
+@pytest.mark.parametrize("chart", [Chart.SLICE, Chart.MODULUS, Chart.LOG])
+@pytest.mark.parametrize("kind", [SpaceKind.TUBE, SpaceKind.NON_TUBE])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_stacked_assemble_equals_rows(r, kind, chart):
+    model = SymmetricSpaceModel(rank=r, kind=kind,
+                                mult_short=2 if kind is SpaceKind.NON_TUBE else 0)
+    f = _stack_function(r, chart)
+    points = _stack_points(r, chart, np.random.default_rng(100 * r + 7))
+    stack = assemble(model, f, points)
+    assert stack.a_block.shape == (len(points), r, r)
+
+    row_flags = []
+    for i, H in enumerate(points):
+        want = assemble(model, f, H)
+        got = stack[i]
+        scale = 1e-12 * max(1.0, float(np.max(np.abs(want.a_block))))
+        np.testing.assert_allclose(got.point, want.point, rtol=0, atol=0)
+        np.testing.assert_allclose(got.a_block, want.a_block, rtol=1e-12, atol=scale)
+        assert set(got.medium) == set(want.medium) and set(got.short) == set(want.short)
+        for key in want.medium:
+            np.testing.assert_allclose(got.medium[key], want.medium[key],
+                                       rtol=1e-12, atol=scale)
+        for key in want.short:
+            np.testing.assert_allclose(got.short[key], want.short[key],
+                                       rtol=1e-12, atol=scale)
+        assert got.flags == want.flags
+        row_flags += want.flags
+    assert stack.flags == row_flags
+    if chart is not Chart.LOG:
+        assert "limit:a1" in row_flags

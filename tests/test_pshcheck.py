@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from levislice.funcspace import Chart, InvariantFunction, Jet2, add_invariant, parse_invariant
+from levislice import pshcheck
+from levislice.levi import assemble
 from levislice.model import SpaceKind, SymmetricSpaceModel, weyl_orbit
 from levislice.potential import killing_potential_invariant
 from levislice.pshcheck import (
@@ -35,6 +38,34 @@ def test_chamber_grid_contains_origin_and_is_sorted():
     for H in grid:
         assert all(H[i] >= H[i + 1] for i in range(len(H) - 1))
         assert H[-1] >= 0
+
+
+def _reference_grid(shadow, grid_n):
+    """The chamber grid walked point by point over each box's index product."""
+    seen, points = set(), []
+    for lo, hi in shadow.boxes:
+        axes = [[lo[j] + (hi[j] - lo[j]) * k / grid_n for k in range(grid_n)]
+                for j in range(shadow.rank)]
+        for rho in itertools.product(*axes):
+            a = np.sort(np.arctanh(np.asarray(rho)))[::-1]
+            key = tuple(np.round(a, 12))
+            if key not in seen:
+                seen.add(key)
+                points.append(a)
+    return np.array(points)
+
+
+@pytest.mark.parametrize("shadow,grid_n", [
+    (ReinhardtShadow(2, [((0.5, 0.0), (1.0, 1.0)), ((0.0, 0.5), (0.5, 1.0))]), 7),
+    (ReinhardtShadow(2, [((0.0, 0.0), (0.9, 0.1)), ((0.0, 0.0), (0.1, 0.9))]), 6),
+    (ReinhardtShadow(3, [((0.1, 0.2, 0.0), (0.6, 0.5, 0.3)),
+                         ((0.2, 0.0, 0.2), (0.4, 0.7, 0.9))]), 5),
+])
+def test_chamber_grid_matches_pointwise_walk(shadow, grid_n):
+    grid = chamber_grid(shadow, grid_n)
+    reference = _reference_grid(shadow, grid_n)
+    assert grid.shape == reference.shape
+    assert np.array_equal(grid, reference)
 
 
 def test_killing_is_strictly_psh_on_full_shadow():
@@ -100,6 +131,27 @@ def test_grid_evaluation_error_carries_point():
     with pytest.raises(GridEvaluationError) as exc:
         check_invariant_psh(TUBE1, f, FULL1, grid_n=4)
     assert exc.value.point.shape == (1,)
+
+
+@pytest.mark.parametrize("expr", [
+    "log(0.45 - t1)",        # the jet raises on part of the grid
+    "exp(exp(exp(5*t1)))",   # the jet overflows on part of the grid
+])
+def test_partial_grid_failure_reports_first_failing_point(expr, monkeypatch):
+    monkeypatch.setattr(pshcheck, "CHUNK_ROWS", 2)  # the failure sits in a later chunk
+    f = parse_invariant(expr, 1)
+    grid = chamber_grid(FULL1, 8)
+    failing = []
+    for i, H in enumerate(grid):
+        try:
+            assemble(TUBE1, f, H)
+        except ArithmeticError:
+            failing.append(i)
+    assert 2 <= failing[0] < len(grid) - 1
+    with pytest.raises(GridEvaluationError) as exc:
+        check_invariant_psh(TUBE1, f, FULL1, grid_n=8)
+    assert np.array_equal(exc.value.point, grid[failing[0]])
+    assert isinstance(exc.value.__cause__, ArithmeticError)
 
 
 def test_report_serialization():
