@@ -13,12 +13,9 @@ from .funcspace import (
 )
 from .levi import (
     LeviBlockForm,
-    a_block,
     assemble,
     congruence_check,
-    medium_coeff,
     reinhardt_levi,
-    short_coeff,
 )
 from .model import (
     SignedPermutation,
@@ -26,10 +23,8 @@ from .model import (
     SymmetricSpaceModel,
     positive_roots,
     weyl_reduce,
-    weyl_symmetrize,
 )
 from .potential import (
-    KillingPotential,
     bergman_identify,
     killing_potential_invariant,
     killing_potential_modulus,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .funcspace import ExpressionError, InvariantFunction, parse_invariant
 from .levi import assemble
-from .model import SpaceKind, SymmetricSpaceModel, positive_roots
+from .model import SymmetricSpaceModel, positive_roots
 from .potential import (
     bergman_identify,
     killing_potential_invariant,
@@ -336,14 +336,14 @@ def load_config(path: Optional[str], command: str, seed_override: Optional[int])
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if seed_override is not None and isinstance(config, dict):
+        config["seed"] = seed_override
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
     if error is not None:
         raise ConfigError(f"config rejected: {error.message}") from error
     for key in _REQUIRED_KEYS[command]:
         if key not in config:
             raise ConfigError(f"command {command} requires config key {key!r}")
-    if seed_override is not None:
-        config["seed"] = seed_override
     config.setdefault("seed", 0)
     return config
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -262,7 +262,6 @@ class InvariantFunction:
     rank: int
     chart: Chart
     eval_jet: Callable[[np.ndarray], Jet2]
-    domain_hint: Optional[object] = None  # ReinhardtShadow, kept untyped to avoid a cycle
     symmetrized: bool = False
     label: Optional[str] = None
 
@@ -292,12 +291,7 @@ def to_slice(f: InvariantFunction, H: Sequence[float]) -> Jet2:
         return f(H)
 
     if f.chart is Chart.MODULUS:
-        rho = np.tanh(H)
-        if f.domain_hint is not None and not all(
-            f.domain_hint.contains(m) for m in np.abs(rho).reshape(-1, f.rank)
-        ):
-            raise ChartDomainError(f"moduli {np.abs(rho)} outside the domain hint")
-        jet = f(rho)
+        jet = f(np.tanh(H))
         with np.errstate(all="ignore"):
             s1 = 1.0 / np.cosh(H) ** 2
             diag = -jet.grad * 2.0 * np.sinh(H) / np.cosh(H) ** 3

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -177,44 +177,6 @@ def short_coeff_from_jet(jet: Jet2, H: np.ndarray, j, factor: float = 2.0) -> tu
     return value, limit
 
 
-# -- public block operations ------------------------------------------------
-
-
-def a_block(f: InvariantFunction, H: Sequence[float]) -> np.ndarray:
-    """The r x r chamber block at each point H, with the diagonal limit at a_j = 0.
-
-    Well defined entrywise at any H, in H's own coordinate order.
-    """
-    H = np.asarray(H, dtype=float)
-    return a_block_from_jet(to_slice(f, H), H)[0]
-
-
-def medium_coeff(f: InvariantFunction, H: Sequence[float], j: int, l: int) -> np.ndarray:
-    """Shared coefficient of the medium-root blocks for the pair j < l, at each point H.
-
-    Expects a chamber-reduced H.  On the wall a_j = a_l the closed limit form
-    is used (avoiding the cancellation of the generic quotient); at
-    a_j = a_l = 0 the value is twice the diagonal Hessian entry.
-    """
-    H = np.asarray(H, dtype=float)
-    if j == l:
-        raise ValueError(f"medium coefficient needs distinct indices, got j = l = {j}")
-    if j > l:
-        j, l = l, j
-    return medium_coeff_from_jet(to_slice(f, H), H, j, l)[0]
-
-
-def short_coeff(f: InvariantFunction, H: Sequence[float], j: int,
-                model: Optional[SymmetricSpaceModel] = None,
-                factor: float = 2.0) -> np.ndarray:
-    """Short-root coefficient at index j, at each point H; only meaningful for
-    non-tube models."""
-    if model is not None and model.kind is SpaceKind.TUBE:
-        raise ValueError("short-root coefficient requested on a tube-type model")
-    H = np.asarray(H, dtype=float)
-    return short_coeff_from_jet(to_slice(f, H), H, j, factor)[0]
-
-
 def assemble(model: SymmetricSpaceModel, f: InvariantFunction, H: Sequence[float],
              short_coeff_factor: float = 2.0) -> LeviBlockForm:
     """Chamber-reduce the points H, ``(..., r)``, and compute every block there.
@@ -317,7 +279,7 @@ def congruence_check(f: InvariantFunction, z: Sequence[complex]) -> CongruenceRe
     if np.any(rho >= 1.0):
         raise ValueError("points must lie in the open unit polydisk")
     H = np.arctanh(rho)
-    M = a_block(f, H)
+    M = a_block_from_jet(to_slice(f, H), H)[0]
     c = np.cosh(H) ** 2 * np.exp(1j * np.angle(z))
     right = np.outer(c, np.conj(c)) * M
     left = 4.0 * reinhardt_levi(f, z)

@@ -11,14 +11,13 @@ a_1 >= ... >= a_r >= 0.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-MAX_SYMMETRIZE_RANK = 8
+MAX_ORBIT_RANK = 8
 
 
 class SpaceKind(Enum):
@@ -160,11 +159,6 @@ def positive_roots(model: SymmetricSpaceModel) -> list:
     return roots
 
 
-def root_vector_slots(model: SymmetricSpaceModel) -> int:
-    """Total root-vector dimension count implied by the multiplicities."""
-    return sum(mult for _, mult in positive_roots(model))
-
-
 def weyl_reduce(H: Sequence[float]) -> tuple:
     """Canonicalize H into the closed chamber a_1 >= ... >= a_r >= 0.
 
@@ -184,8 +178,8 @@ def weyl_orbit(H: Sequence[float]) -> list:
     """All distinct images of H under signed permutations (rank-capped)."""
     H = np.asarray(H, dtype=float)
     r = H.shape[0]
-    if r > MAX_SYMMETRIZE_RANK:
-        raise ValueError(f"rank {r} exceeds orbit cap {MAX_SYMMETRIZE_RANK}")
+    if r > MAX_ORBIT_RANK:
+        raise ValueError(f"rank {r} exceeds orbit cap {MAX_ORBIT_RANK}")
     seen = set()
     out = []
     for perm in itertools.permutations(range(r)):
@@ -197,42 +191,3 @@ def weyl_orbit(H: Sequence[float]) -> list:
                 seen.add(key)
                 out.append(img)
     return out
-
-
-def weyl_symmetrize(g: Callable, r: int) -> Callable:
-    """Average a scalar function over the full signed-permutation group.
-
-    The result is exactly invariant by construction: the same 2^r * r!
-    summands are produced (in a fixed order) for every point of an orbit.
-    Rank is capped at MAX_SYMMETRIZE_RANK to bound the orbit size.
-    """
-    if r > MAX_SYMMETRIZE_RANK:
-        raise ValueError(f"rank {r} exceeds orbit cap {MAX_SYMMETRIZE_RANK}")
-    perms = list(itertools.permutations(range(r)))
-    sign_patterns = list(itertools.product((1.0, -1.0), repeat=r))
-    norm = len(perms) * len(sign_patterns)
-
-    def symmetrized(H):
-        H = np.asarray(H, dtype=float)
-        dominant, _ = weyl_reduce(H)
-        total = 0.0
-        for perm in perms:
-            base = dominant[list(perm)]
-            for signs in sign_patterns:
-                total += g(base * np.array(signs))
-        return total / norm
-
-    return symmetrized
-
-
-def chamber_distance(H: Sequence[float]) -> float:
-    """Max violation of the chamber inequalities a_1 >= ... >= a_r >= 0."""
-    H = np.asarray(H, dtype=float)
-    worst = max(0.0, -H[-1]) if H.size else 0.0
-    for j in range(H.size - 1):
-        worst = max(worst, H[j + 1] - H[j])
-    return worst
-
-
-def is_chamber_point(H: Sequence[float], tol: float = 0.0) -> bool:
-    return chamber_distance(H) <= tol

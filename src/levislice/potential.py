@@ -12,7 +12,6 @@ disc up to an additive constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,32 +36,11 @@ def rho_hat_d2(t: float) -> float:
     return 0.5 / math.cosh(0.5 * t) ** 2
 
 
-@dataclass(frozen=True)
-class KillingPotential:
-    """Model-bound potential; callable profile plus slice-jet evaluation."""
-
-    model: SymmetricSpaceModel
-
-    def profile(self, t: float) -> tuple:
-        return rho_hat(t), rho_hat_d1(t), rho_hat_d2(t)
-
-    def value(self, H: Sequence[float]) -> float:
-        return potential_value(self.model, H)
-
-    def slice_jet(self, H: np.ndarray) -> Jet2:
-        """Closed-form jet at the slice points H, ``(..., rank)``."""
-        H = np.asarray(H, dtype=float)
-        b = self.model.killing_b
-        value = 0.25 * b * np.sum(rho_hat(2.0 * H), axis=-1)
-        grad = 0.5 * b * np.tanh(H)
-        hess = diag_matrix(0.5 * b / np.cosh(H) ** 2)
-        return Jet2(value, grad, hess, _symmetrize=False)
-
-
-def potential_value(model: SymmetricSpaceModel, H: Sequence[float]) -> float:
-    """Value of the canonical potential at slice point H: (b/4) sum rho_hat(2 a_j)."""
+def potential_value(model: SymmetricSpaceModel, H: Sequence[float]):
+    """Value of the canonical potential at the slice points H, ``(..., r)``:
+    (b/4) sum_j rho_hat(2 a_j)."""
     H = np.asarray(H, dtype=float)
-    return 0.25 * model.killing_b * sum(rho_hat(2.0 * a) for a in H)
+    return 0.25 * model.killing_b * np.sum(rho_hat(2.0 * H), axis=-1)
 
 
 def moment_coefficient(model: SymmetricSpaceModel, H: Sequence[float], j: int) -> float:
@@ -79,13 +57,15 @@ def moment_coefficient(model: SymmetricSpaceModel, H: Sequence[float], j: int) -
 
 def killing_potential_invariant(model: SymmetricSpaceModel) -> InvariantFunction:
     """The potential as a slice-chart invariant function with closed-form jets."""
-    pot = KillingPotential(model)
-    return InvariantFunction(
-        rank=model.rank,
-        chart=Chart.SLICE,
-        eval_jet=pot.slice_jet,
-        label="killing_potential",
-    )
+    b = model.killing_b
+
+    def eval_jet(H: np.ndarray) -> Jet2:
+        grad = 0.5 * b * np.tanh(H)
+        hess = diag_matrix(0.5 * b / np.cosh(H) ** 2)
+        return Jet2(potential_value(model, H), grad, hess, _symmetrize=False)
+
+    return InvariantFunction(rank=model.rank, chart=Chart.SLICE, eval_jet=eval_jet,
+                             label="killing_potential")
 
 
 def killing_potential_modulus(model: SymmetricSpaceModel) -> InvariantFunction:
@@ -124,12 +104,10 @@ def bergman_identify(model: SymmetricSpaceModel, samples: Sequence[float]) -> tu
         raise ValueError("empty sample list")
     if np.any(samples <= 0.0) or np.any(samples >= 1.0):
         raise ValueError("samples must lie strictly inside (0, 1)")
-    diffs = np.array(
-        [
-            potential_value(model, [math.atanh(rho)]) - (-2.0 * math.log1p(-rho * rho))
-            for rho in samples
-        ]
-    )
+    # the scalar math functions keep the reported constant to the last bit
+    slice_points = np.array([[math.atanh(rho)] for rho in samples])
+    log_kernel = np.array([-2.0 * math.log1p(-rho * rho) for rho in samples])
+    diffs = potential_value(model, slice_points) - log_kernel
     constant = 0.5 * (float(diffs.max()) + float(diffs.min()))
     deviation = 0.5 * (float(diffs.max()) - float(diffs.min()))
     return constant, deviation

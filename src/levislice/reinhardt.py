@@ -1,25 +1,33 @@
 """Permutation-invariant Reinhardt shadows in the unit polydisk.
 
 A shadow is a finite union of half-open boxes in modulus space [0,1)^r,
-closed under coordinate permutations.  Box algebra (membership, completeness,
-connectedness, equality) is exact on a canonical cell decomposition induced by
-the box bounds; logarithmic convexity is the one grid-approximate test, run on
-a fixed lattice in log coordinates clipped below at s = -20.
+closed under coordinate permutations.  The box bounds and 0 cut each axis
+into cells, and ``ReinhardtShadow.covered`` is the boolean mask of covered
+cells, of shape ``(len(cuts) - 1,) * rank``.  Box algebra is exact on it:
+membership is a ``searchsorted`` lookup, completeness equality with the
+downward closure, connectedness a flood fill joining cells along faces and
+corners, equality a comparison on the union cuts, and the canonical boxes are
+the runs along the last axis.  The mask is dense: a cut grid of more than
+``MAX_MASK_CELLS`` cells is rejected with ValueError before allocation.
+
+Logarithmic convexity is the one grid-approximate test, run on a fixed
+lattice in log coordinates clipped below at s = -20.
 
 Classification: a shadow that meets a coordinate hyperplane is the trace of a
 Stein domain iff it is complete and log-convex; one that avoids the
 hyperplanes iff it is log-convex.  The ambient invariant domain is then Stein
 iff additionally the shadow is connected (tube type) or complete (non-tube
 type).  ``envelope`` grows a shadow to the smallest grid-representable Stein
-one by iterating log-convex hulls and, where required, downward closure.
+one by iterating log-convex hulls and, where required, downward closure, on a
+log raster that shares the downward closure and the run merging of the mask.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -28,6 +36,7 @@ from .model import SpaceKind, SymmetricSpaceModel
 
 LOG_CLIP = -20.0
 _PAIR_CAP = 512
+MAX_MASK_CELLS = 1 << 26
 
 
 class EnvelopeResolutionError(RuntimeError):
@@ -38,18 +47,29 @@ class EnvelopeResolutionError(RuntimeError):
         self.suggested_grid_n = suggested_grid_n
 
 
-def _covered_cells(boxes, cuts, r: int) -> frozenset:
-    """Cells of the cut grid fully inside some box (cuts contain all box bounds)."""
-    index = {c: i for i, c in enumerate(cuts)}
-    covered = set()
+def _covered_cells(boxes, cuts, r: int) -> np.ndarray:
+    """Mask of the cut grid's cells that lie inside some box (cuts contain all box bounds)."""
+    n = len(cuts) - 1
+    if n ** r > MAX_MASK_CELLS:
+        raise ValueError(f"shadow has {n}^{r} cut cells, over the cap of {MAX_MASK_CELLS}")
+    cuts = np.asarray(cuts)
+    mask = np.zeros((n,) * r, dtype=bool)
     for lo, hi in boxes:
-        ranges = []
-        for j in range(r):
-            k0 = index[lo[j]]
-            k1 = index[hi[j]]
-            ranges.append(range(k0, k1))
-        covered.update(itertools.product(*ranges))
-    return frozenset(covered)
+        k0, k1 = np.searchsorted(cuts, lo), np.searchsorted(cuts, hi)
+        mask[tuple(map(slice, k0, k1))] = True
+    return mask
+
+
+def _boxes_from_mask(mask: np.ndarray, lo_of: np.ndarray, hi_of: np.ndarray) -> list:
+    """Disjoint boxes covering the mask: its maximal runs along the last axis, in
+    lexicographic cell order.  Cell k spans [lo_of[k], hi_of[k]) on every axis."""
+    pad = [(0, 0)] * (mask.ndim - 1) + [(1, 1)]
+    edges = np.diff(np.pad(mask, pad).astype(np.int8), axis=-1)
+    first = np.argwhere(edges == 1)
+    last = first.copy()
+    last[:, -1] = np.argwhere(edges == -1)[:, -1] - 1
+    return [(tuple(lo), tuple(hi))
+            for lo, hi in zip(lo_of[first].tolist(), hi_of[last].tolist())]
 
 
 class ReinhardtShadow:
@@ -71,48 +91,18 @@ class ReinhardtShadow:
                     raise ValueError(f"box bounds must satisfy 0 <= lo < hi <= 1, got [{l}, {u})")
             raw.append((lo, hi))
 
-        closed = set()
-        for lo, hi in raw:
-            for perm in itertools.permutations(range(rank)):
-                closed.add((tuple(lo[p] for p in perm), tuple(hi[p] for p in perm)))
-        closed = sorted(closed)
-
-        cuts = sorted({0.0} | {v for lo, hi in closed for v in lo + hi})
-        covered = _covered_cells(closed, cuts, rank)
+        cuts = sorted({0.0} | {v for lo, hi in raw for v in lo + hi})
         covered_input = _covered_cells(raw, cuts, rank)
+        covered = covered_input.copy()
+        for perm in itertools.permutations(range(rank)):
+            covered |= covered_input.transpose(perm)
 
         self.rank = rank
         self.cuts = tuple(cuts)
         self.covered = covered
-        self.symmetrized = covered != covered_input
-        self.boxes = self._merge_cells()
+        self.symmetrized = not np.array_equal(covered, covered_input)
+        self.boxes = _boxes_from_mask(covered, np.array(cuts[:-1]), np.array(cuts[1:]))
         self._cache: dict = {}
-
-    # -- canonical representation -----------------------------------------
-
-    def _merge_cells(self):
-        """Canonical disjoint boxes: covered cells merged along the last axis."""
-        cuts = self.cuts
-        r = self.rank
-        by_prefix: dict = {}
-        for cell in sorted(self.covered):
-            by_prefix.setdefault(cell[:-1], []).append(cell[-1])
-        boxes = []
-        for prefix, ks in sorted(by_prefix.items()):
-            run_start = prev = ks[0]
-            runs = []
-            for k in ks[1:]:
-                if k == prev + 1:
-                    prev = k
-                    continue
-                runs.append((run_start, prev))
-                run_start = prev = k
-            runs.append((run_start, prev))
-            for k0, k1 in runs:
-                lo = tuple(cuts[i] for i in prefix) + (cuts[k0],)
-                hi = tuple(cuts[i + 1] for i in prefix) + (cuts[k1 + 1],)
-                boxes.append((lo, hi))
-        return boxes
 
     def __repr__(self):
         return f"ReinhardtShadow(rank={self.rank}, boxes={len(self.boxes)})"
@@ -121,19 +111,17 @@ class ReinhardtShadow:
         if not isinstance(other, ReinhardtShadow) or self.rank != other.rank:
             return NotImplemented
         cuts = sorted(set(self.cuts) | set(other.cuts))
-        a = _covered_cells(self.boxes, cuts, self.rank)
-        b = _covered_cells(other.boxes, cuts, self.rank)
-        return a == b
+        return np.array_equal(_covered_cells(self.boxes, cuts, self.rank),
+                              _covered_cells(other.boxes, cuts, other.rank))
 
     def contains(self, rho: Sequence[float]) -> bool:
-        rho = np.asarray(rho, dtype=float)
-        for lo, hi in self.boxes:
-            if all(l <= x < u for l, x, u in zip(lo, rho, hi)):
-                return True
-        return False
+        k = np.searchsorted(self.cuts, np.asarray(rho, dtype=float), side="right") - 1
+        return bool(np.all((k >= 0) & (k < self.covered.shape[0]))
+                    and self.covered[tuple(k)])
 
     def touches_hyperplanes(self) -> bool:
-        return any(any(l == 0.0 for l in lo) for lo, _ in self.boxes)
+        # permutation-closed, so a cell on any hyperplane has an image on the first
+        return bool(self.covered[0].any())
 
     def down_closure(self) -> "ReinhardtShadow":
         return ReinhardtShadow(self.rank, [((0.0,) * self.rank, hi) for _, hi in self.boxes])
@@ -180,40 +168,33 @@ class ReinhardtShadow:
 def is_complete(S: ReinhardtShadow) -> bool:
     """Downward closure in moduli: every covered cell has all lower cells covered."""
     if "complete" not in S._cache:
-        covered = S.covered
-        ok = True
-        for cell in covered:
-            for j in range(S.rank):
-                if cell[j] > 0:
-                    below = cell[:j] + (cell[j] - 1,) + cell[j + 1:]
-                    if below not in covered:
-                        ok = False
-                        break
-            if not ok:
-                break
-        S._cache["complete"] = ok
+        S._cache["complete"] = np.array_equal(S.covered, _down_close_raster(S.covered))
     return S._cache["complete"]
+
+
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """Cells within one step of the mask along every axis at once (3^r neighbourhood)."""
+    out = mask
+    for axis in range(mask.ndim):
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        upper = (slice(None),) * axis + (slice(1, None),)
+        grown = out.copy()
+        grown[lower] |= out[upper]
+        grown[upper] |= out[lower]
+        out = grown
+    return out
 
 
 def is_connected(S: ReinhardtShadow) -> bool:
     """Connectivity of the closure: cells touching along faces or corners are adjacent."""
     if "connected" not in S._cache:
         covered = S.covered
-        if not covered:
-            S._cache["connected"] = True
-            return True
-        offsets = [o for o in itertools.product((-1, 0, 1), repeat=S.rank) if any(o)]
-        start = next(iter(covered))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            cell = frontier.pop()
-            for off in offsets:
-                nb = tuple(c + o for c, o in zip(cell, off))
-                if nb in covered and nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        S._cache["connected"] = len(seen) == len(covered)
+        seen = np.zeros_like(covered)
+        seen.flat[np.argmax(covered)] = True
+        grown = _dilate(seen) & covered
+        while not np.array_equal(grown, seen):
+            seen, grown = grown, _dilate(grown) & covered
+        S._cache["connected"] = np.array_equal(seen, covered)
     return S._cache["connected"]
 
 
@@ -349,19 +330,19 @@ def _down_close_raster(raster: np.ndarray) -> np.ndarray:
 
 def _hull_close_raster(raster: np.ndarray, grid_n: int) -> np.ndarray:
     r = raster.ndim
-    cells = np.argwhere(raster)
-    if cells.shape[0] == 0:
+    if not raster.any():
         return raster
     if r == 1:
-        lo, hi = cells.min(), cells.max()
+        cells = np.flatnonzero(raster)
         out = raster.copy()
-        out[lo:hi + 1] = True
+        out[cells[0]:cells[-1] + 1] = True
         return out
-    corners = set()
-    for cell in cells:
-        for off in itertools.product((0, 1), repeat=r):
-            corners.add(tuple(int(c) + o for c, o in zip(cell, off)))
-    pts = np.array(sorted(corners), dtype=float)
+    # corners of the covered cells, in lexicographic order: corner c is one
+    # iff some cell c - o with o in {0,1}^r is covered
+    corners = np.zeros((grid_n + 1,) * r, dtype=bool)
+    for off in itertools.product((0, 1), repeat=r):
+        corners[tuple(slice(o, o + grid_n) for o in off)] |= raster
+    pts = np.argwhere(corners).astype(float)
     hull = ConvexHull(pts)
     centers_1d = np.arange(grid_n) + 0.5
     grids = np.meshgrid(*([centers_1d] * r), indexing="ij")
@@ -401,32 +382,10 @@ def envelope(model: SymmetricSpaceModel, S: ReinhardtShadow,
         raise EnvelopeResolutionError(f"degenerate hull ({exc})", 2 * grid_n) from exc
 
     delta = -LOG_CLIP / grid_n
-
-    def cell_lo(k: int) -> float:
-        return 0.0 if (k == 0 and need_down) else math.exp(LOG_CLIP + k * delta)
-
-    def cell_hi(k: int) -> float:
-        return 1.0 if k == grid_n else math.exp(LOG_CLIP + k * delta)
-
-    boxes = []
-    flat = covered.reshape(-1, grid_n) if S.rank > 1 else covered.reshape(1, grid_n)
-    prefixes = (
-        itertools.product(range(grid_n), repeat=S.rank - 1) if S.rank > 1 else [()]
-    )
-    for row_idx, prefix in enumerate(prefixes):
-        row = flat[row_idx]
-        k = 0
-        while k < grid_n:
-            if not row[k]:
-                k += 1
-                continue
-            k_end = k
-            while k_end + 1 < grid_n and row[k_end + 1]:
-                k_end += 1
-            lo = tuple(cell_lo(p) for p in prefix) + (cell_lo(k),)
-            hi = tuple(cell_hi(p + 1) for p in prefix) + (cell_hi(k_end + 1),)
-            boxes.append((lo, hi))
-            k = k_end + 1
+    bounds = [math.exp(LOG_CLIP + k * delta) for k in range(grid_n + 1)]
+    lo_of = np.array([0.0 if need_down else bounds[0]] + bounds[1:-1])
+    hi_of = np.array(bounds[1:-1] + [1.0])
+    boxes = _boxes_from_mask(covered, lo_of, hi_of)
     result = ReinhardtShadow(S.rank, boxes)
     if not classify_domain(model, result, grid_n).stein:
         raise EnvelopeResolutionError("envelope failed the Stein test", 2 * grid_n)

@@ -91,24 +91,6 @@ def random_poly_expr(rng: np.random.Generator, r: int, max_terms: int = 3,
     return " + ".join(terms)
 
 
-def _positive_poly_expr(rng: np.random.Generator, r: int) -> str:
-    """Random polynomial with positive coefficients (bounded on the polydisk)."""
-    n_terms = int(rng.integers(1, 4))
-    terms = []
-    for _ in range(n_terms):
-        coef = float(np.round(rng.uniform(0.2, 1.0), 4))
-        powers = rng.integers(0, 3, size=r)
-        if not powers.any():
-            powers[int(rng.integers(0, r))] = 1
-        factors = [
-            f"t{j + 1}" if p == 1 else f"t{j + 1}^{int(p)}"
-            for j, p in enumerate(powers)
-            if p > 0
-        ]
-        terms.append(f"{coef}*" + "*".join(factors))
-    return " + ".join(terms)
-
-
 def _perturbed_potential(model: SymmetricSpaceModel, rng: np.random.Generator,
                          epsilon: float = 0.05) -> InvariantFunction:
     expr = random_poly_expr(rng, model.rank)

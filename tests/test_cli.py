@@ -181,3 +181,17 @@ def test_seed_flag_overrides_config(capsys, tmp_path):
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["seed"] == 7
     jsonschema.validate(report, REPORT_SCHEMAS["verify"])
+
+
+def test_negative_seed_flag_fails_the_schema(capsys, tmp_path, monkeypatch):
+    import levislice.cli as cli
+
+    def no_suites(*args, **kwargs):
+        raise AssertionError("verify ran its suites on a rejected config")
+
+    monkeypatch.setattr(cli, "run_all", no_suites)
+    code, out, err = run_cli(capsys, tmp_path, "verify", extra=["--seed", "-1"])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == "config rejected: -1 is less than the minimum of 0"

@@ -14,18 +14,18 @@ from levislice.funcspace import (
 )
 from levislice.levi import (
     DEGENERACY_EPS,
-    a_block,
+    a_block_from_jet,
     assemble,
     congruence_check,
-    medium_coeff,
     medium_generic,
     medium_limit_equal,
     reinhardt_levi,
-    short_coeff,
+    short_coeff_from_jet,
 )
 from levislice.model import SpaceKind, SymmetricSpaceModel, weyl_orbit
 from levislice.potential import killing_potential_invariant, killing_potential_modulus
 
+TUBE1 = SymmetricSpaceModel(rank=1, kind=SpaceKind.TUBE, killing_b=8.0)
 TUBE2 = SymmetricSpaceModel(rank=2, kind=SpaceKind.TUBE, killing_b=8.0)
 NONTUBE2 = SymmetricSpaceModel(rank=2, kind=SpaceKind.NON_TUBE, mult_short=2,
                                killing_b=8.0)
@@ -46,32 +46,33 @@ def quadratic_slice(r):
 def test_a_block_quadratic():
     f = quadratic_slice(2)
     H = np.array([0.9, 0.4])
-    M = a_block(f, H)
+    M = assemble(TUBE2, f, H).a_block
     for j, a in enumerate(H):
         assert M[j, j] == pytest.approx(4.0 * a / math.tanh(2 * a) * 0.5 * 2 + 2.0)
         assert M[j, j] == pytest.approx(4.0 * a * (1.0 / math.tanh(2 * a)) + 2.0)
     assert M[0, 1] == 0.0
 
-    M0 = a_block(f, np.zeros(2))
+    M0 = assemble(TUBE2, f, np.zeros(2)).a_block
     assert np.allclose(M0, 4.0 * np.eye(2))
 
 
 def test_a_block_quartic_counterexample_closed_form():
     f = parse_invariant("t1^2", 1)
     for a in (0.3, 0.7, 1.5):
-        M = a_block(f, [a])
+        M = assemble(TUBE1, f, [a]).a_block
         assert M[0, 0] == pytest.approx(
             16.0 * math.tanh(a) ** 2 / math.cosh(a) ** 4, rel=1e-12
         )
-    assert a_block(f, [0.0])[0, 0] == 0.0
+    assert assemble(TUBE1, f, [0.0]).a_block[0, 0] == 0.0
 
 
 def test_a_block_killing_is_constant():
     f = killing_potential_invariant(TUBE2)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        H = rng.uniform(-2, 2, size=2)
-        assert np.allclose(a_block(f, H), 8.0 * np.eye(2), atol=1e-12)
+        H = rng.uniform(-2, 2, size=2)  # coordinate order, signs included
+        M = a_block_from_jet(to_slice(f, H), H)[0]
+        assert np.allclose(M, 8.0 * np.eye(2), atol=1e-12)
 
 
 # -- medium coefficient ---------------------------------------------------------
@@ -82,13 +83,13 @@ def test_medium_killing_constant():
     rng = np.random.default_rng(2)
     for _ in range(20):
         H = np.sort(rng.uniform(0, 2, size=2))[::-1]
-        assert medium_coeff(f, H, 0, 1) == pytest.approx(8.0, abs=1e-10)
+        assert assemble(TUBE2, f, H).medium[(0, 1)] == pytest.approx(8.0, abs=1e-10)
 
 
 def test_medium_quadratic_on_wall():
     f = quadratic_slice(2)
     a = 0.8
-    val = medium_coeff(f, [a, 0.0], 0, 1)
+    val = assemble(TUBE2, f, [a, 0.0]).medium[(0, 1)]
     assert val == pytest.approx(2 * a * math.sinh(2 * a) / math.sinh(a) ** 2, rel=1e-12)
     assert val == pytest.approx(4 * a / math.tanh(a), rel=1e-12)
 
@@ -104,12 +105,6 @@ def test_medium_equal_limit_matches_near_degenerate_evaluation():
     assert generic == pytest.approx(limit, abs=1e-5)
 
 
-def test_medium_rejects_equal_indices():
-    f = quadratic_slice(2)
-    with pytest.raises(ValueError):
-        medium_coeff(f, [0.5, 0.2], 1, 1)
-
-
 # -- short coefficient -----------------------------------------------------------
 
 
@@ -118,33 +113,31 @@ def test_short_killing_constant():
     rng = np.random.default_rng(3)
     for _ in range(20):
         H = rng.uniform(0.0, 2.0, size=2)
+        form = assemble(NONTUBE2, f, H)
         for j in range(2):
-            assert short_coeff(f, H, j, model=NONTUBE2) == pytest.approx(8.0, abs=1e-10)
+            assert form.short[j] == pytest.approx(8.0, abs=1e-10)
 
 
 def test_short_quadratic():
     f = quadratic_slice(2)
     a = 0.9
-    assert short_coeff(f, [a, 0.3], 0) == pytest.approx(4 * a / math.tanh(a), rel=1e-12)
-    assert short_coeff(f, [0.0, 0.3], 0) == pytest.approx(4.0)
+    assert assemble(NONTUBE2, f, [a, 0.3]).short[0] == pytest.approx(
+        4 * a / math.tanh(a), rel=1e-12)
+    H = np.array([0.0, 0.3])  # coordinate order: the limit at a_1 = 0
+    assert short_coeff_from_jet(to_slice(f, H), H, 0)[0] == pytest.approx(4.0)
 
 
 def test_short_quartic_vanishes_at_wall():
     f = parse_invariant("t1^2", 2)  # symmetrized quartic embedded in rank 2
-    assert short_coeff(f, [0.0, 0.8], 0) == 0.0
-    assert short_coeff(f, [1e-4, 0.8], 0) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_short_rejected_on_tube_model():
-    f = quadratic_slice(2)
-    with pytest.raises(ValueError):
-        short_coeff(f, [0.5, 0.2], 0, model=TUBE2)
+    for a, want in ((0.0, 0.0), (1e-4, pytest.approx(0.0, abs=1e-6))):
+        H = np.array([a, 0.8])  # coordinate order, so index 0 sits near the wall
+        assert short_coeff_from_jet(to_slice(f, H), H, 0)[0] == want
 
 
 def test_short_factor_switch():
     f = killing_potential_invariant(NONTUBE2)
-    H = [1.1, 0.4]
-    assert short_coeff(f, H, 0, factor=1.0) == pytest.approx(4.0, abs=1e-10)
+    form = assemble(NONTUBE2, f, [1.1, 0.4], short_coeff_factor=1.0)
+    assert form.short[0] == pytest.approx(4.0, abs=1e-10)
 
 
 # -- assembly ---------------------------------------------------------------------

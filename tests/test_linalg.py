@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from levislice.funcspace import add_invariant, parse_invariant
-from levislice.levi import a_block, congruence_check
+from levislice.funcspace import add_invariant, parse_invariant, to_slice
+from levislice.levi import a_block_from_jet, assemble, congruence_check
 from levislice.model import SpaceKind, SymmetricSpaceModel
 from levislice.potential import killing_potential_invariant
 from levislice.pshcheck import _block_minima, chamber_grid, check_invariant_psh
@@ -45,7 +45,7 @@ def test_diagonal():
     H = _stack(np.random.default_rng(3), 2, 12)
     eig, _, _ = _block_minima(TUBE2, f, H, 2.0)
     for i, row in enumerate(H):
-        M = a_block(f, np.sort(row)[::-1])
+        M = assemble(TUBE2, f, row).a_block
         assert M[0, 1] == 0.0 and M[1, 0] == 0.0
         assert eig[i] == pytest.approx(min(M[0, 0], M[1, 1]), rel=1e-12, abs=1e-14)
     assert eig.min() < 0.0 < eig.max()
@@ -73,7 +73,7 @@ def test_min_eig_matches_numpy_oracle(r, coeffs, seed):
     H = _stack(np.random.default_rng(seed), r, 8)
     eig, _, _ = _block_minima(model, f, H, 2.0)
     for i, row in enumerate(H):
-        M = a_block(f, np.sort(row)[::-1])
+        M = assemble(model, f, row).a_block
         expected = float(np.linalg.eigvalsh(M)[0])
         assert eig[i] == pytest.approx(expected, abs=1e-9 * (1 + np.abs(M).max()))
 
@@ -83,7 +83,8 @@ def test_full_spectrum_sorted():
     # per-point spectra over the whole grid
     f = parse_invariant("t1^2 - 0.3*t1*t2 - 0.2*t1", 2)
     report = check_invariant_psh(TUBE2, f, FULL2, grid_n=6)
-    spectra = np.array([np.linalg.eigvalsh(a_block(f, H)) for H in chamber_grid(FULL2, 6)])
+    spectra = np.array([np.linalg.eigvalsh(assemble(TUBE2, f, H).a_block)
+                        for H in chamber_grid(FULL2, 6)])
     assert np.all(np.diff(spectra, axis=1) >= 0.0)
     assert report.min_a_block_eig == pytest.approx(spectra[:, 0].min(), rel=1e-12)
 
@@ -110,7 +111,8 @@ def test_congruence_preserves_inertia_sign(r, coeffs, seed):
     rng = np.random.default_rng(seed)
     z = rng.uniform(0.05, 0.85, size=r) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=r))
     rep = congruence_check(f, z)
-    slice_min = float(np.linalg.eigvalsh(a_block(f, np.arctanh(np.abs(z))))[0])
+    H = np.arctanh(np.abs(z))  # coordinate order, as congruence_check takes it
+    slice_min = float(np.linalg.eigvalsh(a_block_from_jet(to_slice(f, H), H)[0])[0])
     complex_min = float(np.linalg.eigvalsh(rep.complex_side)[0])
     assume(abs(slice_min) > 1e-6 + 1e3 * rep.discrepancy)
     assert np.sign(complex_min) == np.sign(slice_min)
@@ -125,9 +127,10 @@ def test_congruence_identity_and_phase():
     assert real.discrepancy < 1e-8 and turned.discrepancy < 1e-8
     assert np.allclose(turned.complex_side, real.complex_side, atol=1e-12)
     assert np.allclose(turned.slice_side, real.slice_side, atol=1e-12)
-    c = np.cosh(np.arctanh(z)) ** 2
-    assert np.allclose(real.slice_side, np.outer(c, c) * a_block(f, np.arctanh(z)),
-                       atol=1e-12)
+    H = np.arctanh(z)
+    c = np.cosh(H) ** 2
+    M = a_block_from_jet(to_slice(f, H), H)[0]
+    assert np.allclose(real.slice_side, np.outer(c, c) * M, atol=1e-12)
     assert math.isclose(real.complex_side[0, 1].imag, 0.0, abs_tol=1e-15)
 
 

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levislice.model import (
+    MAX_ORBIT_RANK,
     SignedPermutation,
     SpaceKind,
     SymmetricSpaceModel,
     positive_roots,
-    root_vector_slots,
+    weyl_orbit,
     weyl_reduce,
-    weyl_symmetrize,
 )
 
 
@@ -40,11 +40,12 @@ def test_rank_two_nontube_adds_short_roots():
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_root_vector_slot_count(r):
     m = 2
+    # the root-space dimensions add up to r + m r (r - 1) (+ 6 r short)
     tube = SymmetricSpaceModel(rank=r, kind=SpaceKind.TUBE, mult_medium=m)
-    assert root_vector_slots(tube) == r + m * r * (r - 1)
+    assert sum(mult for _, mult in positive_roots(tube)) == r + m * r * (r - 1)
     nontube = SymmetricSpaceModel(rank=r, kind=SpaceKind.NON_TUBE, mult_medium=m,
                                   mult_short=6)
-    assert root_vector_slots(nontube) == r + m * r * (r - 1) + 6 * r
+    assert sum(mult for _, mult in positive_roots(nontube)) == r + m * r * (r - 1) + 6 * r
 
 
 def test_model_validation():
@@ -92,40 +93,7 @@ def test_signed_permutation_compose_and_inverse():
     assert np.allclose(w1.inverse().apply(w1.apply(H)), H)
 
 
-def test_weyl_symmetrize_odd_function_averages_to_zero():
-    g = weyl_symmetrize(lambda a: a[0], 1)
-    for x in (0.0, 0.5, -2.0):
-        assert abs(g([x])) < 1e-15
-
-
-def test_weyl_symmetrize_even_function_unchanged():
-    g = weyl_symmetrize(lambda a: a[0] ** 2, 1)
-    assert g([1.5]) == pytest.approx(2.25, abs=1e-14)
-
-
-def test_weyl_symmetrize_mixed_monomial():
-    g = weyl_symmetrize(lambda a: a[0] ** 2 * a[1] ** 4, 2)
-    a1, a2 = 0.7, 1.3
-    expected = 0.5 * (a1**2 * a2**4 + a1**4 * a2**2)
-    assert g([a1, a2]) == pytest.approx(expected, rel=1e-13)
-
-
-@settings(max_examples=60)
-@given(
-    st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=3),
-    st.permutations([0, 1]),
-)
-def test_weyl_symmetrize_exact_invariance(H, perm01):
-    r = len(H)
-    g = weyl_symmetrize(lambda a: a[0] ** 2 * np.cos(a[-1]) + 0.3 * a[0], r)
-    H = np.asarray(H)
-    flipped = H.copy()
-    flipped[0] = -flipped[0]
-    assert g(H) == pytest.approx(g(flipped), abs=1e-12)
-    permuted = H[::-1].copy()
-    assert g(H) == pytest.approx(g(permuted), abs=1e-12)
-
-
-def test_weyl_symmetrize_rank_cap():
+def test_weyl_orbit_rank_cap():
+    assert len(weyl_orbit([0.3, -0.7])) == 8
     with pytest.raises(ValueError):
-        weyl_symmetrize(lambda a: a[0], 9)
+        weyl_orbit(np.zeros(MAX_ORBIT_RANK + 1))

@@ -64,6 +64,17 @@ def test_potential_value_examples():
     )
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_potential_value_stack_equals_per_coordinate_sum(r):
+    model = SymmetricSpaceModel(rank=r, killing_b=8.0)
+    H = np.random.default_rng(r).uniform(-3.0, 3.0, size=(500, r))
+    H[0] = 0.0
+    values = potential_value(model, H)
+    assert values.shape == (500,)
+    for row, value in zip(H, values):
+        assert value == 0.25 * model.killing_b * sum(rho_hat(2.0 * a) for a in row)
+
+
 def test_moment_coefficient_closed_form():
     model = SymmetricSpaceModel(rank=2, killing_b=8.0)
     assert moment_coefficient(model, [0.0, 1.0], 0) == 0.0

@@ -1,13 +1,17 @@
+import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from levislice.cli import main
 from levislice.model import SpaceKind, SymmetricSpaceModel
 from levislice.reinhardt import (
-    EnvelopeResolutionError,
+    MAX_MASK_CELLS,
     ReinhardtShadow,
     classify_domain,
     envelope,
@@ -276,3 +280,150 @@ def test_random_unions_classify_and_envelope(boxes):
     env = envelope(TUBE, S)
     assert classify_domain(TUBE, env).stein
     assert envelope(TUBE, env) == env
+
+
+# -- the cell mask against a set-of-cells reference ----------------------------
+#
+# The reference keeps the cut-cell decomposition as a set of index tuples and
+# walks it with plain loops; membership is decided on the input boxes and
+# their coordinate permutations directly.
+
+LEVELS = (0.0, 0.2, 0.35, 0.5, 0.7, 0.85, 1.0)
+PROBES = sorted(set(LEVELS) | {0.5 * (a + b) for a, b in zip(LEVELS, LEVELS[1:])}
+                | {-0.1, 0.999})
+
+
+def _ref_cells(rank, boxes, cuts):
+    index = {c: i for i, c in enumerate(cuts)}
+    cells = set()
+    for lo, hi in boxes:
+        for perm in itertools.permutations(range(rank)):
+            ranges = [range(index[lo[p]], index[hi[p]]) for p in perm]
+            cells.update(itertools.product(*ranges))
+    return cells
+
+
+def _input_cells(boxes, cuts):
+    index = {c: i for i, c in enumerate(cuts)}
+    return {cell for lo, hi in boxes
+            for cell in itertools.product(*[range(index[l], index[h])
+                                            for l, h in zip(lo, hi)])}
+
+
+def _ref_complete(cells):
+    return all(cell[:j] + (cell[j] - 1,) + cell[j + 1:] in cells
+               for cell in cells for j in range(len(cell)) if cell[j] > 0)
+
+
+def _ref_connected(cells, rank):
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=rank) if any(o)]
+    start = min(cells)
+    seen, frontier = {start}, [start]
+    while frontier:
+        cell = frontier.pop()
+        for off in offsets:
+            nb = tuple(c + o for c, o in zip(cell, off))
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return len(seen) == len(cells)
+
+
+def _ref_boxes(cells, cuts):
+    rows = {}
+    for cell in sorted(cells):
+        rows.setdefault(cell[:-1], []).append(cell[-1])
+    boxes = []
+    for prefix, ks in sorted(rows.items()):
+        runs = [[ks[0], ks[0]]]
+        for k in ks[1:]:
+            if k == runs[-1][1] + 1:
+                runs[-1][1] = k
+            else:
+                runs.append([k, k])
+        for k0, k1 in runs:
+            boxes.append((tuple(cuts[i] for i in prefix) + (cuts[k0],),
+                          tuple(cuts[i + 1] for i in prefix) + (cuts[k1 + 1],)))
+    return boxes
+
+
+def _ref_contains(rank, boxes, rho):
+    return any(all(lo[p] <= x < hi[p] for p, x in zip(perm, rho))
+               for lo, hi in boxes for perm in itertools.permutations(range(rank)))
+
+
+def _cuts(*box_lists):
+    return sorted({0.0} | {v for boxes in box_lists for lo, hi in boxes for v in lo + hi})
+
+
+@st.composite
+def _unions(draw, rank):
+    """Unions of boxes with bounds on a coarse lattice, so that boxes share
+    faces, touch at corners, meet the hyperplanes and come out asymmetric."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        bounds = [sorted(draw(st.lists(st.sampled_from(LEVELS), min_size=2, max_size=2,
+                                       unique=True))) for _ in range(rank)]
+        boxes.append((tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)))
+    return boxes
+
+
+@st.composite
+def _cases(draw):
+    rank = draw(st.sampled_from((2, 3)))
+    probes = draw(st.lists(st.tuples(*[st.sampled_from(PROBES)] * rank), max_size=12))
+    return rank, draw(_unions(rank)), draw(_unions(rank)), probes
+
+
+# corners touching diagonally: connected only through the 3^r neighbourhood
+@example((2, [((0.0, 0.0), (0.2, 0.2)), ((0.2, 0.2), (0.35, 0.35))],
+          [((0.0, 0.0), (0.35, 0.35))], [(0.2, 0.2), (0.19, 0.2)]))
+@example((3, [((0.2, 0.2, 0.2), (0.35, 0.35, 0.35)), ((0.5, 0.5, 0.5), (0.7, 0.7, 0.7))],
+          [((0.0, 0.2, 0.5), (0.2, 0.35, 0.7))], [(0.2, 0.2, 0.2)]))
+@example((3, [((0.0, 0.0, 0.0), (0.2, 0.2, 0.2)), ((0.2, 0.2, 0.2), (0.35, 0.35, 0.35))],
+          [((0.0, 0.0, 0.0), (0.2, 0.35, 0.35))], [(0.2, 0.2, 0.2)]))
+@settings(max_examples=150, deadline=None)
+@given(_cases())
+def test_mask_matches_set_of_cells_reference(case):
+    rank, boxes, other_boxes, probes = case
+    S = ReinhardtShadow(rank, boxes)
+    cuts = _cuts(boxes)
+    cells = _ref_cells(rank, boxes, cuts)
+    assert S.cuts == tuple(cuts)
+    assert S.boxes == _ref_boxes(cells, cuts)
+    assert S.symmetrized == (cells != _input_cells(boxes, cuts))
+    assert is_complete(S) == _ref_complete(cells)
+    assert is_connected(S) == _ref_connected(cells, rank)
+    for rho in probes:
+        assert S.contains(rho) == _ref_contains(rank, boxes, rho)
+
+    T = ReinhardtShadow(rank, other_boxes)
+    union = _cuts(boxes, other_boxes)
+    want_equal = _ref_cells(rank, boxes, union) == _ref_cells(rank, other_boxes, union)
+    assert (S == T) == want_equal
+    assert ReinhardtShadow(rank, S.boxes) == S
+
+
+def test_cut_grid_over_the_cap_is_rejected_without_allocating(capsys, tmp_path):
+    # diagonal squares whose bounds cut each axis into just over
+    # sqrt(MAX_MASK_CELLS) cells
+    pairs = (math.isqrt(MAX_MASK_CELLS) + 2) // 2
+    d = 2 * pairs + 1
+    boxes = [(((2 * k - 1) / d,) * 2, ((2 * k) / d,) * 2) for k in range(1, pairs + 1)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            ReinhardtShadow(2, boxes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_MASK_CELLS // 8  # the mask alone would take MAX_MASK_CELLS bytes
+
+    config = {"model": {"rank": 2, "kind": "tube"},
+              "shadow": {"rank": 2, "boxes": [{"lo": list(lo), "hi": list(hi)}
+                                              for lo, hi in boxes]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["stein-classify", "--config", str(path)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError" and "cap" in error["message"]
