@@ -18,11 +18,9 @@ from .levi import (
     reinhardt_levi,
 )
 from .model import (
-    SignedPermutation,
     SpaceKind,
     SymmetricSpaceModel,
     positive_roots,
-    weyl_reduce,
 )
 from .potential import (
     bergman_identify,

@@ -1,7 +1,9 @@
 """Batch front door: JSON job config in, JSON report out.
 
 Commands: levi-eval, psh-check, stein-classify, envelope, potential-eval,
-verify.  Configs are schema-validated with unknown keys rejected.  Exit codes:
+verify.  Configs are schema-validated with unknown keys rejected; ``grid_n``
+sets the evaluation grids of psh-check and verify only, since the shadow
+geometry of stein-classify and envelope is exact.  Exit codes:
 0 success (psh-check verdicts are data, not failures), 1 verify-suite failure,
 2 config error, 3 evaluation error; errors are emitted as JSON on stderr.
 Reports are byte-deterministic for a given config (fixed seeds, sorted keys).
@@ -442,7 +444,7 @@ def cmd_psh_check(config: dict) -> dict:
 def cmd_stein_classify(config: dict) -> dict:
     model = _resolve_model(config)
     shadow = _resolve_shadow(config, model)
-    result = classify_domain(model, shadow, grid_n=config.get("grid_n", 64))
+    result = classify_domain(model, shadow)
     return {
         "command": "stein-classify",
         "model": model.to_json(),
@@ -455,15 +457,14 @@ def cmd_stein_classify(config: dict) -> dict:
 def cmd_envelope(config: dict) -> dict:
     model = _resolve_model(config)
     shadow = _resolve_shadow(config, model)
-    grid_n = config.get("grid_n", 64)
-    env = envelope(model, shadow, grid_n=grid_n)
+    env = envelope(model, shadow)
     return {
         "command": "envelope",
         "model": model.to_json(),
         "input_shadow": shadow.to_json(),
         "envelope": env.to_json(),
         "changed": env != shadow,
-        "classification_after": classify_domain(model, env, grid_n).to_json(),
+        "classification_after": classify_domain(model, env).to_json(),
     }
 
 

@@ -1,4 +1,4 @@
-"""Symmetric-space model data: rank, root system type, multiplicities, Weyl group.
+"""Symmetric-space model data: rank, root system type and multiplicities.
 
 A rank-r model of tube type has positive restricted roots 2e_j (j = 1..r,
 each one-dimensional) and e_k ± e_l (k < l, shared multiplicity); a non-tube
@@ -10,14 +10,8 @@ a_1 >= ... >= a_r >= 0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
-
-MAX_ORBIT_RANK = 8
 
 
 class SpaceKind(Enum):
@@ -83,49 +77,6 @@ class SymmetricSpaceModel:
 
 
 @dataclass(frozen=True)
-class SignedPermutation:
-    """Signed permutation acting on R^r by (w.H)_i = signs[i] * H[perm[i]]."""
-
-    perm: tuple
-    signs: tuple
-
-    def __post_init__(self):
-        r = len(self.perm)
-        if sorted(self.perm) != list(range(r)):
-            raise ValueError(f"perm is not a permutation of 0..{r - 1}: {self.perm}")
-        if len(self.signs) != r or any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be a tuple of +1/-1 of matching length")
-
-    @staticmethod
-    def identity(r: int) -> "SignedPermutation":
-        return SignedPermutation(tuple(range(r)), (1,) * r)
-
-    def apply(self, H: Sequence[float]) -> np.ndarray:
-        H = np.asarray(H, dtype=float)
-        return np.array([self.signs[i] * H[self.perm[i]] for i in range(len(self.perm))])
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Return the composition self o other (first apply other)."""
-        r = len(self.perm)
-        perm = tuple(other.perm[self.perm[i]] for i in range(r))
-        signs = tuple(self.signs[i] * other.signs[self.perm[i]] for i in range(r))
-        return SignedPermutation(perm, signs)
-
-    def inverse(self) -> "SignedPermutation":
-        r = len(self.perm)
-        inv = [0] * r
-        signs = [1] * r
-        for i in range(r):
-            inv[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return SignedPermutation(tuple(inv), tuple(signs))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm))) and all(s == 1 for s in self.signs)
-
-
-@dataclass(frozen=True)
 class RootLabel:
     """Symbolic positive-root label: family in {"2e", "e+e", "e-e", "e"} plus 1-based indices."""
 
@@ -157,37 +108,3 @@ def positive_roots(model: SymmetricSpaceModel) -> list:
         for j in range(1, model.rank + 1):
             roots.append((RootLabel("e", (j,)), model.mult_short))
     return roots
-
-
-def weyl_reduce(H: Sequence[float]) -> tuple:
-    """Canonicalize H into the closed chamber a_1 >= ... >= a_r >= 0.
-
-    Returns (H_dominant, w) with H_dominant = w.apply(H); w.inverse() recovers
-    the input point.  Ties are broken stably so the output is deterministic.
-    """
-    H = np.asarray(H, dtype=float)
-    r = H.shape[0]
-    order = sorted(range(r), key=lambda i: (-abs(H[i]), i))
-    perm = tuple(order)
-    signs = tuple(1 if H[i] >= 0 else -1 for i in order)
-    w = SignedPermutation(perm, signs)
-    return w.apply(H), w
-
-
-def weyl_orbit(H: Sequence[float]) -> list:
-    """All distinct images of H under signed permutations (rank-capped)."""
-    H = np.asarray(H, dtype=float)
-    r = H.shape[0]
-    if r > MAX_ORBIT_RANK:
-        raise ValueError(f"rank {r} exceeds orbit cap {MAX_ORBIT_RANK}")
-    seen = set()
-    out = []
-    for perm in itertools.permutations(range(r)):
-        base = H[list(perm)]
-        for signs in itertools.product((1.0, -1.0), repeat=r):
-            img = base * np.array(signs)
-            key = tuple(np.round(img, 15))
-            if key not in seen:
-                seen.add(key)
-                out.append(img)
-    return out

@@ -429,7 +429,7 @@ def classification_fixtures():
     return _FIXTURES
 
 
-def suite_classification(grid_n: int = 64) -> SuiteResult:
+def suite_classification() -> SuiteResult:
     """Twelve fixtures classified exactly; envelopes of all NotStein fixtures come
     out Stein; the envelope is idempotent on every fixture."""
     shadows, expected = classification_fixtures()
@@ -443,17 +443,17 @@ def suite_classification(grid_n: int = 64) -> SuiteResult:
     for (kind, name), want_stein in sorted(expected.items()):
         model = models[kind]
         shadow = shadows[name]
-        result = classify_domain(model, shadow, grid_n)
+        result = classify_domain(model, shadow)
         if result.stein != want_stein:
             mismatches.append({"model": kind, "shadow": name,
                                "expected": want_stein, "got": result.stein,
                                "reasons": result.reasons})
             continue
-        env = envelope(model, shadow, grid_n)
-        if not classify_domain(model, env, grid_n).stein:
+        env = envelope(model, shadow)
+        if not classify_domain(model, env).stein:
             envelope_failures.append({"model": kind, "shadow": name,
                                       "stage": "stein_after_envelope"})
-        if envelope(model, env, grid_n) != env:
+        if envelope(model, env) != env:
             envelope_failures.append({"model": kind, "shadow": name,
                                       "stage": "idempotence"})
     passed = not mismatches and not envelope_failures
@@ -483,8 +483,8 @@ def run_all(seed: int = 0, short_coeff_factor: float = 2.0,
             grid_n: Optional[int] = None) -> list:
     """Run every suite with deterministic per-suite seeds.
 
-    ``grid_n`` controls the function-evaluation grids; the classification
-    raster keeps its own default resolution.
+    ``grid_n`` sets the function-evaluation grids of the counterexample and
+    positivity-transfer suites; the classification suite is exact and has none.
     """
     results = [
         suite_killing_calibration(seed, short_coeff_factor=short_coeff_factor),

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -96,6 +99,33 @@ def test_psh_check_verdict_is_data_not_failure(capsys, tmp_path):
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMAS["psh-check"])
     assert report["report"]["verdict"] == "not_psh"
+
+
+def test_rank_twelve_non_symmetric_expression_exits_2(capsys, tmp_path):
+    # its permutation average would take 12! = 479,001,600 permutations
+    config = {"model": {"rank": 12, "kind": "tube"},
+              "function": {"expr": "t1 + 2*t2"}, "points": [[0.5] * 12]}
+    code, out, err = run_cli(capsys, tmp_path, "levi-eval", config)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError" and "symmetric" in error["message"]
+
+
+def test_rank_twelve_symmetric_expression_parses(capsys, tmp_path):
+    expr = " + ".join(f"t{j}" for j in range(1, 13))
+    config = {"model": {"rank": 12, "kind": "tube"},
+              "function": {"expr": expr}, "points": [[0.5] * 12]}
+    code, out, err = run_cli(capsys, tmp_path, "levi-eval", config)
+    assert code == 0 and err == ""
+    assert json.loads(out)["function"] == {"expr": expr}
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, levislice.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_stein_classify_fixture(capsys, tmp_path):

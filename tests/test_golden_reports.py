@@ -30,7 +30,8 @@ SHADOWS = {
 }
 
 # (command, model kind, shadow, grid_n) -> sha256 of the report on stdout;
-# the envelopes run on coarser grids to keep this file fast
+# both commands are exact and ignore grid_n, which the configs still send
+# because the schema accepts it
 GOLDEN = {
     ("stein-classify", "tube", "full", 64):
         "a49bee646f63c863f46f706b172a900c6c6bc69c5d9dbbfa09320883319221b1",
@@ -47,41 +48,41 @@ GOLDEN = {
     ("stein-classify", "nontube", "annulus", 64):
         "bd16dde7438796a865a0457b36d00f0bbf45bf13ff14c32db56cfe3033b5736b",
     ("envelope", "nontube", "annulus", 32):
-        "c80522828b14e27f5639debb8f8aaa126405fa29c9fec2b6523eda2235d5bfa4",
+        "e9e9771d6dbe0cfd7187536803614e970b9131b28710f128e72c8594db7dcb8d",
     ("stein-classify", "tube", "two_annuli", 64):
         "79caa63dc36acf7fb3dfc0c7e306a8fd2002cdb1669388d3d1ee159343f5324e",
     ("envelope", "tube", "two_annuli", 32):
-        "bde3ff6c053f82d97fb0dc2af6a59acdcaed50f2e9b065a3957d8de826974b84",
+        "95534210dddf8056636997ee38949121dd7c7198bec97ef27d2ab09b895259f8",
     ("stein-classify", "nontube", "two_annuli", 64):
         "d8382f763d434f89d0f12d7c50d55f36f1a9b82358af7399b5702f73460c1623",
     ("envelope", "nontube", "two_annuli", 32):
-        "bde291ca0d7c3e7908758697ff5886d63bb0d1cac1a12a37eb7688a23565530a",
+        "a98036a9c02c9d6de997f33b5b5377f9137422b0b9a4704ba34ef2e85596e1f6",
     ("stein-classify", "tube", "l_shape", 64):
         "f97b4cbd0cdaa4a560289aa00d468f72c49dbef6e1495c5325551d1de71e1f81",
     ("envelope", "tube", "l_shape", 32):
-        "17830e6c9966dba76d698debba8d8cd8f23789602d3d63f41a86a3cd6a0b6ddc",
+        "c9bddbd1300cc3e55a494b54e479f98fb20f94844a9ccd06d18e0ab4dd04afb5",
     ("stein-classify", "nontube", "l_shape", 64):
         "38235efe46666c13b405b5ba90ad345687892d395f4d187157903a6b949289c4",
     ("envelope", "nontube", "l_shape", 32):
-        "66c86dd7221feb4ece549012d61e662b69fdaaba29f3a3b3b246383463b5c18a",
+        "1ca217383b38d76c66405bbb1a00ff3f3ec98fc08f82a235e2c792ba49485c55",
     ("stein-classify", "tube", "staircase", 64):
         "7e6e9281cd87268d98d9761d624bdb420ae5ea2a172398ec72c82a3ceec30b95",
     ("envelope", "tube", "staircase", 32):
-        "7af050b78307fdd91c879e8f1f53b0bf50f03aec9cb225258f8ecefac75eb74f",
+        "45cb0d8e1460dc1fc74340e666c6534aca7a127fb007a243268d48c97cd55819",
     ("stein-classify", "nontube", "staircase", 64):
         "3ee51370687a08cd4bfbd5e4bab0d1d18bd479cf96d1931828d9b36b8b0a745f",
     ("envelope", "nontube", "staircase", 32):
-        "05fedf4d0990d880482b89c70efbbaf1565a5af445f2b9cf60cdab1d188b7872",
+        "33da926acc6cf7de39ca4499d4ac0ef83d4cec9653adf4feaca4cb8e2a62ee96",
     ("stein-classify", "tube", "asym_pair", 64):
         "f2b024d62ffb5e7829eec345a68e791bef467b1badcf9b602a06039fc5d337e4",
     ("envelope", "tube", "asym_pair", 32):
-        "ef665b8f8fa02eb8f97e826a7e69a74d6b4ef6aa0766889a12a2c108af71da42",
+        "db085bf61d3627f90c0383429e2a9ac4483c2390f22a8dcb0f969b7842827a67",
     ("stein-classify", "nontube", "asym_pair", 64):
         "2f9cdeb7d0b1d1e2d77fe1b812f324e245d90aa8f95b0481b53d31dff1463e43",
     ("envelope", "nontube", "asym_pair", 32):
-        "32aa5f18fcac937288a462d84da2e241e48efd51058a06dcab201cfb19772b37",
+        "539f6d2e0f07d771db83605860f0d511eb89470a3590c31c1cc8e0a2e91cbc13",
     ("envelope", "tube", "two_annuli_r3", 24):
-        "71cdef82030cefdd3e4b5f3164b135da1db9f63dca353941196a0beb8b55a35b",
+        "e1ca84591b3b30a26fcd01401c3f2fac0593a00ef7c0c8f5100ae53eaa9b0746",
 }
 
 

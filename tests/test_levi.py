@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,13 +23,22 @@ from levislice.levi import (
     reinhardt_levi,
     short_coeff_from_jet,
 )
-from levislice.model import SpaceKind, SymmetricSpaceModel, weyl_orbit
+from levislice.model import SpaceKind, SymmetricSpaceModel
 from levislice.potential import killing_potential_invariant, killing_potential_modulus
 
 TUBE1 = SymmetricSpaceModel(rank=1, kind=SpaceKind.TUBE, killing_b=8.0)
 TUBE2 = SymmetricSpaceModel(rank=2, kind=SpaceKind.TUBE, killing_b=8.0)
 NONTUBE2 = SymmetricSpaceModel(rank=2, kind=SpaceKind.NON_TUBE, mult_short=2,
                                killing_b=8.0)
+
+
+def weyl_orbit(H):
+    """Images of H under the signed permutations of its coordinates, the Weyl
+    group's action on slice coordinates (with repeats where H is on a wall)."""
+    H = np.asarray(H, dtype=float)
+    return [np.array(signs) * H[list(perm)]
+            for perm in itertools.permutations(range(len(H)))
+            for signs in itertools.product((1.0, -1.0), repeat=len(H))]
 
 
 def quadratic_slice(r):

@@ -7,7 +7,7 @@ import pytest
 from levislice.funcspace import Chart, InvariantFunction, Jet2, add_invariant, parse_invariant
 from levislice import pshcheck
 from levislice.levi import assemble
-from levislice.model import SpaceKind, SymmetricSpaceModel, weyl_orbit
+from levislice.model import SpaceKind, SymmetricSpaceModel
 from levislice.potential import killing_potential_invariant
 from levislice.pshcheck import (
     BoundaryMinimumError,
@@ -30,6 +30,15 @@ NONTUBE2 = SymmetricSpaceModel(rank=2, kind=SpaceKind.NON_TUBE, mult_short=2,
 FULL1 = ReinhardtShadow(1, [((0.0,), (1.0,))])
 FULL2 = ReinhardtShadow(2, [((0.0, 0.0), (1.0, 1.0))])
 ANNULUS = ReinhardtShadow(2, [((math.exp(-2.0),) * 2, (math.exp(-1.0),) * 2)])
+
+
+def weyl_orbit(H):
+    """Images of H under the signed permutations of its coordinates, the Weyl
+    group's action on slice coordinates (with repeats where H is on a wall)."""
+    H = np.asarray(H, dtype=float)
+    return [np.array(signs) * H[list(perm)]
+            for perm in itertools.permutations(range(len(H)))
+            for signs in itertools.product((1.0, -1.0), repeat=len(H))]
 
 
 def test_chamber_grid_contains_origin_and_is_sorted():

@@ -19,7 +19,6 @@ from levislice.reinhardt import (
     is_connected,
     is_log_convex,
     is_stein,
-    log_convexity_witness,
 )
 
 E1, E2 = math.exp(-1.0), math.exp(-2.0)
@@ -142,13 +141,20 @@ def test_annulus_is_log_convex():
 def test_two_squares_are_not_log_convex():
     S = ReinhardtShadow(2, [((0.1, 0.1), (0.2, 0.2)), ((0.5, 0.5), (0.6, 0.6))])
     assert not is_log_convex(S)
-    p, q = log_convexity_witness(S)
-    mid = np.sqrt(p * q)
-    assert not S.contains(mid)
 
 
 def test_full_polydisk_is_log_convex():
     assert is_log_convex(full())
+
+
+def test_hole_shadow_is_not_stein():
+    # [0.3, 0.8)^2 minus the hole [0.5, 0.55)^2
+    S = ReinhardtShadow(2, [((0.3, 0.3), (0.8, 0.5)), ((0.3, 0.55), (0.8, 0.8)),
+                            ((0.3, 0.5), (0.5, 0.55)), ((0.55, 0.5), (0.8, 0.55))])
+    assert not is_log_convex(S)
+    result = classify_domain(TUBE, S)
+    assert result.verdict == "not_stein"
+    assert result.reasons == ["shadow is not logarithmically convex"]
 
 
 # -- steinness --------------------------------------------------------------------------
@@ -213,9 +219,17 @@ def test_envelope_completes_for_nontube():
     assert classify_domain(NONTUBE, env).stein
     assert is_complete(env)
     assert env.contains([0.0, 0.0])
-    # down-closure of the annulus reaches [0, e^-1)^2 up to grid snap
     assert env.contains([E1 - 1e-6, E1 - 1e-6])
     assert not env.contains([0.6, 0.6])
+
+
+def test_nontube_annulus_envelope_is_the_exact_square():
+    assert envelope(NONTUBE, annulus()) == ReinhardtShadow(2, [((0.0, 0.0), (E1, E1))])
+
+
+def test_tube_two_annuli_envelope_is_the_bounding_square():
+    S = ReinhardtShadow(2, [((0.1, 0.1), (0.2, 0.2)), ((0.5, 0.5), (0.6, 0.6))])
+    assert envelope(TUBE, S) == ReinhardtShadow(2, [((0.1, 0.1), (0.6, 0.6))])
 
 
 def test_envelope_extensive_and_idempotent():
@@ -402,6 +416,47 @@ def test_mask_matches_set_of_cells_reference(case):
     want_equal = _ref_cells(rank, boxes, union) == _ref_cells(rank, other_boxes, union)
     assert (S == T) == want_equal
     assert ReinhardtShadow(rank, S.boxes) == S
+
+
+# log-convexity against a reference on unit cells: the union of covered unit
+# cubes is convex iff, for every pair of covered cells a and b, every cell from
+# floor((a + b) / 2) to ceil((a + b) / 2) is covered
+
+
+def _ref_log_convex(cells):
+    for a, b in itertools.product(cells, repeat=2):
+        mid = [(x + y) / 2 for x, y in zip(a, b)]
+        ranges = [range(math.floor(m), math.ceil(m) + 1) for m in mid]
+        if not all(c in cells for c in itertools.product(*ranges)):
+            return False
+    return True
+
+
+@example((1, [((0.2,), (0.35,)), ((0.5,), (0.7,))]))
+@example((2, [((0.2, 0.2), (0.5, 0.5))]))
+@example((2, [((0.2, 0.2), (0.7, 0.35)), ((0.2, 0.5), (0.7, 0.7))]))
+@example((3, [((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))]))
+@example((3, [((0.0, 0.0, 0.0), (0.5, 0.5, 0.2)), ((0.0, 0.0, 0.0), (0.2, 0.5, 0.5))]))
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((1, 2, 3)).flatmap(lambda r: st.tuples(st.just(r), _unions(r))))
+def test_log_convexity_matches_unit_cell_reference(case):
+    rank, boxes = case
+    S = ReinhardtShadow(rank, boxes)
+    cells = _ref_cells(rank, boxes, _cuts(boxes))
+    assert is_log_convex(S) == _ref_log_convex(cells)
+
+
+def test_rank_ten_shadow_is_built_and_classified():
+    # the closure ORs in 9 adjacent transposes until stable, not all 10! axis orders
+    lo, hi = (0.1,) * 5 + (0.5,) * 5, (0.2,) * 5 + (0.6,) * 5
+    S = ReinhardtShadow(10, [((0.0,) * 10, (0.2,) * 10), (lo, hi)])
+    assert S.symmetrized
+    assert S.contains([0.55, 0.15] * 5) and not S.contains([0.55] * 6 + [0.15] * 4)
+    assert int(S.covered.sum()) == 2 ** 10 + math.comb(10, 5)
+    result = classify_domain(SymmetricSpaceModel(rank=10), S)
+    assert result.verdict == "not_stein"
+    assert result.tests == {"complete": False, "connected": False,
+                            "log_convex": False, "stein_shadow": False}
 
 
 def test_cut_grid_over_the_cap_is_rejected_without_allocating(capsys, tmp_path):
