@@ -1,9 +1,11 @@
 """Batch front door: JSON job config in, JSON report out.
 
 Commands: levi-eval, psh-check, stein-classify, envelope, potential-eval,
-verify.  Configs are schema-validated with unknown keys rejected; ``grid_n``
-sets the evaluation grids of psh-check and verify only, since the shadow
-geometry of stein-classify and envelope is exact.  Exit codes:
+verify.  Configs are checked against ``CONFIG_SCHEMA`` by a built-in
+interpreter of the JSON Schema keywords it uses (``SCHEMA_KEYWORDS``), with
+unknown keys and non-finite numbers rejected; ``grid_n`` sets the evaluation
+grids of psh-check and verify only, since the shadow geometry of
+stein-classify and envelope is exact.  Exit codes:
 0 success (psh-check verdicts are data, not failures), 1 verify-suite failure,
 2 config error, 3 evaluation error; errors are emitted as JSON on stderr.
 Reports are byte-deterministic for a given config (fixed seeds, sorted keys).
@@ -14,15 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from typing import Optional
 
-import jsonschema
-import numpy as np
-
 from .funcspace import ExpressionError, InvariantFunction, parse_invariant
 from .levi import assemble
-from .model import SymmetricSpaceModel, positive_roots
+from .model import SymmetricSpaceModel, json_float, positive_roots
 from .potential import (
     bergman_identify,
     killing_potential_invariant,
@@ -30,7 +30,7 @@ from .potential import (
     moment_coefficient,
     potential_value,
 )
-from .pshcheck import check_invariant_psh
+from .pshcheck import GridSizeError, check_invariant_psh
 from .reinhardt import ReinhardtShadow, classify_domain, envelope
 from .verify import run_all
 
@@ -101,9 +101,6 @@ CONFIG_SCHEMA = {
         },
     },
 }
-
-# built once: validating through jsonschema.validate re-checks the schema per call
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 COMMANDS = ("levi-eval", "psh-check", "stein-classify", "envelope",
             "potential-eval", "verify")
@@ -329,20 +326,101 @@ _REQUIRED_KEYS = {
 }
 
 
+# the JSON Schema keywords CONFIG_SCHEMA may use: those schema_violation implements
+SCHEMA_KEYWORDS = frozenset({
+    "$schema", "type", "enum", "minimum", "exclusiveMinimum", "exclusiveMaximum",
+    "properties", "additionalProperties", "required", "oneOf", "items", "minItems",
+})
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+_BOUNDS = (("minimum", operator.ge, "less than the minimum"),
+           ("exclusiveMinimum", operator.gt, "less than or equal to the minimum"),
+           ("exclusiveMaximum", operator.lt, "greater than or equal to the maximum"))
+
+
+def schema_violation(x, schema: dict) -> Optional[str]:
+    """The first way the JSON value ``x`` breaks ``schema``, in jsonschema's words,
+    or None.
+
+    JSON Schema's rules hold: a bool is not a number, an integer-valued float
+    is an integer, and ``True`` is not 1.  A node's own keywords are checked
+    before its members and items, so a config with one violation gets the
+    message of jsonschema's ``best_match``.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](x):
+        return f"{x!r} is not of type {kind!r}"
+    if "enum" in schema and not any(
+            e == x and isinstance(e, bool) == isinstance(x, bool) for e in schema["enum"]):
+        return f"{x!r} is not one of {schema['enum']!r}"
+    if _is_number(x):
+        for key, ok, words in _BOUNDS:
+            if key in schema and not ok(x, schema[key]):
+                return f"{x!r} is {words} of {schema[key]!r}"
+    children = ()
+    if isinstance(x, dict):
+        members = schema.get("properties", {})
+        extra = sorted(k for k in x if k not in members)
+        if extra and schema.get("additionalProperties") is False:
+            return (f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                    f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        for key in schema.get("required", ()):
+            if key not in x:
+                return f"{key!r} is a required property"
+        children = [(x[key], sub) for key, sub in members.items() if key in x]
+    elif isinstance(x, list):
+        if len(x) < schema.get("minItems", 0):
+            return f"{x!r} {'should be non-empty' if schema['minItems'] == 1 else 'is too short'}"
+        children = [(item, schema["items"]) for item in x] if "items" in schema else ()
+    if "oneOf" in schema:
+        valid = [s for s in schema["oneOf"] if schema_violation(x, s) is None]
+        if len(valid) != 1:
+            return (f"{x!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+                    if valid else f"{x!r} is not valid under any of the given schemas")
+    for value, sub in children:
+        error = schema_violation(value, sub)
+        if error is not None:
+            return error
+    return None
+
+
+def _finite_number(text: str) -> float:
+    """JSON number hook: ``json`` would read NaN, Infinity and overflowing literals
+    as non-finite floats, which no config value can mean."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite_number, parse_constant=_finite_number)
+
+
 def load_config(path: Optional[str], command: str, seed_override: Optional[int]) -> dict:
     if path is None:
         config = {}
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                config = _DECODER.decode(fh.read())
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if seed_override is not None and isinstance(config, dict):
         config["seed"] = seed_override
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    error = schema_violation(config, CONFIG_SCHEMA)
     if error is not None:
-        raise ConfigError(f"config rejected: {error.message}") from error
+        raise ConfigError(f"config rejected: {error}")
     for key in _REQUIRED_KEYS[command]:
         if key not in config:
             raise ConfigError(f"command {command} requires config key {key!r}")
@@ -476,9 +554,9 @@ def cmd_potential_eval(config: dict) -> dict:
         results.append(
             {
                 "point": [float(x) for x in H],
-                "value": potential_value(model, H),
+                "value": json_float(potential_value(model, H)),
                 "moment_coefficients": [
-                    moment_coefficient(model, H, j) for j in range(model.rank)
+                    json_float(moment_coefficient(model, H, j)) for j in range(model.rank)
                 ],
             }
         )
@@ -490,8 +568,8 @@ def cmd_potential_eval(config: dict) -> dict:
     if "bergman_samples" in config:
         constant, deviation = bergman_identify(model, config["bergman_samples"])
         out["bergman"] = {
-            "constant": constant,
-            "max_deviation": deviation,
+            "constant": json_float(constant),
+            "max_deviation": json_float(deviation),
             "identity_holds": bool(deviation < 1e-10),
         }
     return out
@@ -522,22 +600,6 @@ _DISPATCH = {
 }
 
 
-def _sanitize(obj):
-    """Coerce numpy scalars and non-finite floats so reports are strictly valid JSON."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return x if math.isfinite(x) else None
-    return obj
-
-
 def _emit_error(exc: Exception, code: int) -> int:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if isinstance(exc, ConfigError) and isinstance(exc.__cause__, ExpressionError):
@@ -547,7 +609,7 @@ def _emit_error(exc: Exception, code: int) -> int:
     return code
 
 
-def main(argv: Optional[list] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levislice",
         description="Levi-form evaluation, plurisubharmonicity checks and "
@@ -559,7 +621,15 @@ def main(argv: Optional[list] = None) -> int:
         p.add_argument("--config", help="path to the JSON job config")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--seed", type=int, help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: constructing it cost more than a small job
+_PARSER = _build_parser()
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         config = load_config(args.config, args.command, args.seed)
@@ -570,10 +640,12 @@ def main(argv: Optional[list] = None) -> int:
         report = _DISPATCH[args.command](config)
     except ConfigError as exc:
         return _emit_error(exc, 2)
+    except GridSizeError as exc:  # grid_n too large for the function: a config error
+        return _emit_error(ConfigError(f"invalid grid: {exc}"), 2)
     except Exception as exc:  # noqa: BLE001 - mapped to the documented exit code
         return _emit_error(exc, 3)
 
-    text = json.dumps(_sanitize(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

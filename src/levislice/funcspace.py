@@ -526,21 +526,22 @@ class _Parser:
         raise ExpressionError(f"unexpected token {val!r}", pos)
 
 
-def _eval_ast(node, env):
+def _eval_ast(node, var):
+    """Value of the AST, with ``var(j)`` the value of variable j."""
     op = node[0]
     if op == "num":
         return node[1]
     if op == "var":
-        return env[node[1]]
+        return var(node[1])
     if op == "neg":
-        return -_eval_ast(node[1], env)
+        return -_eval_ast(node[1], var)
     if op == "call":
-        arg = _eval_ast(node[2], env)
+        arg = _eval_ast(node[2], var)
         if isinstance(arg, Jet2):
             return _JET_FUNCS[node[1]](arg)
         return getattr(math, node[1])(arg)
-    a = _eval_ast(node[1], env)
-    b = _eval_ast(node[2], env)
+    a = _eval_ast(node[1], var)
+    b = _eval_ast(node[2], var)
     if op == "+":
         return a + b
     if op == "-":
@@ -566,12 +567,12 @@ def _is_permutation_symmetric(ast, r: int, trials: int = 4) -> bool:
     rng = np.random.default_rng(20240613)
     for _ in range(trials):
         t = rng.uniform(0.05, 0.8, size=r)
-        base = _eval_ast(ast, list(t))
+        base = _eval_ast(ast, list(t).__getitem__)
         scale = 1.0 + abs(base)
         for i in range(r - 1):
             env = list(t)
             env[i], env[i + 1] = env[i + 1], env[i]
-            if abs(_eval_ast(ast, env) - base) > 1e-10 * scale:
+            if abs(_eval_ast(ast, env.__getitem__) - base) > 1e-10 * scale:
                 return False
     return True
 
@@ -600,14 +601,19 @@ def parse_invariant(expr: str, r: int) -> InvariantFunction:
     # t_{perm[j]}, seeded with gradient 2 rho e_{perm[j]} and Hessian
     # 2 e_{perm[j]} e_{perm[j]}^T, so one walk covers every point and perm.
     picks = np.eye(r)[perms]                       # (P, r, r): [p, j] = e_{perm_p[j]}
-    seed_hess = 2.0 * _outer(picks, picks)         # (P, r, r, r)
 
     def eval_jet(rho: np.ndarray) -> Jet2:
         x = rho[..., perms]                        # (..., P, r)
         lead = x.shape[:-1]
-        env = [Jet2(x[..., j] * x[..., j], (2.0 * x[..., j, None]) * picks[:, j],
-                    seed_hess[:, j], _symmetrize=False) for j in range(r)]
-        out = _eval_ast(ast, env)
+
+        def var(j):
+            # built at each use: the r (P, r, r) seed Hessians together take
+            # 165 MB at rank 8
+            xj, pick = x[..., j], picks[:, j]
+            return Jet2(xj * xj, (2.0 * xj[..., None]) * pick, 2.0 * _outer(pick, pick),
+                        _symmetrize=False)
+
+        out = _eval_ast(ast, var)
         if not isinstance(out, Jet2):
             out = Jet2.constant(float(out), r)
         return Jet2(np.broadcast_to(out.value, lead).mean(axis=-1),

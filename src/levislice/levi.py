@@ -77,10 +77,10 @@ class LeviBlockForm:
         return _row_min(self.short, self.point.shape[:-1])
 
     def to_json(self) -> dict:
-        """Report of a single point's form."""
+        """Report of a single point's form (``assemble`` keeps its entries finite)."""
         return {
-            "point": [float(x) for x in self.point],
-            "a_block": [float(x) for x in self.a_block.reshape(-1)],
+            "point": self.point.tolist(),
+            "a_block": self.a_block.reshape(-1).tolist(),
             "medium_coeff": [
                 {"j": j + 1, "l": l + 1, "value": float(v)}
                 for (j, l), v in sorted(self.medium.items())
@@ -88,7 +88,7 @@ class LeviBlockForm:
             "short_coeff": [
                 {"j": j + 1, "value": float(v)} for j, v in sorted(self.short.items())
             ],
-            "flags": sorted(self.flags),
+            "flags": sorted(name for name, hit in self.limits.items() if hit),
         }
 
 

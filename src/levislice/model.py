@@ -10,8 +10,16 @@ a_1 >= ... >= a_r >= 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
+
+
+def json_float(x) -> Optional[float]:
+    """``x`` as a plain float for a JSON report, or None where it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 class SpaceKind(Enum):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .funcspace import InvariantFunction, slice_value, to_slice
 from .levi import assemble
-from .model import SpaceKind, SymmetricSpaceModel
+from .model import SpaceKind, SymmetricSpaceModel, json_float
 from .reinhardt import ReinhardtShadow, classify_domain
 
 
@@ -47,6 +47,10 @@ class GridEvaluationError(RuntimeError):
         self.point = np.asarray(point, dtype=float)
 
 
+class GridSizeError(ValueError):
+    """The evaluation grid could need more than MAX_GRID_JETS jet rows."""
+
+
 class BoundaryMinimumError(RuntimeError):
     """Minimizer ran into the shadow boundary: not an exhaustion."""
 
@@ -63,18 +67,14 @@ class CheckReport:
     stein_shadow: bool
 
     def to_json(self) -> dict:
-        def num(x):
-            x = float(x)
-            return x if math.isfinite(x) else None
-
         return {
             "verdict": self.verdict.value,
-            "min_a_block_eig": float(self.min_a_block_eig),
-            "min_medium": num(self.min_medium),
-            "min_short": num(self.min_short),
-            "witness_point": [float(x) for x in self.witness_point],
+            "min_a_block_eig": json_float(self.min_a_block_eig),
+            "min_medium": json_float(self.min_medium),
+            "min_short": json_float(self.min_short),
+            "witness_point": [json_float(x) for x in self.witness_point],
             "grid_spec": self.grid_spec,
-            "tolerance": float(self.tolerance),
+            "tolerance": json_float(self.tolerance),
             "stein_shadow": self.stein_shadow,
         }
 
@@ -115,9 +115,14 @@ def _first_unique(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return rows[np.sort(order[first])]
 
 
-# Rows evaluated per batch: bounds the jet arrays, (CHUNK_ROWS * r! * r^2)
-# floats for a symmetrized expression, independently of the grid size.
+# A batch of rows holds rows * P * r^2 floats per Hessian, P = r! for a
+# symmetrized expression and 1 otherwise: batches take CHUNK_FLOATS // (P r^2)
+# rows, at least 1 and at most CHUNK_ROWS, whatever the grid size.
+CHUNK_FLOATS = 1 << 20
 CHUNK_ROWS = 1024
+# Cap on boxes * C(grid_n + r - 1, r) * P, the jet rows a grid can need,
+# checked before the grid is built.
+MAX_GRID_JETS = 1 << 20
 
 
 def _block_minima(model: SymmetricSpaceModel, f: InvariantFunction, H: np.ndarray,
@@ -134,19 +139,28 @@ def check_invariant_psh(model: SymmetricSpaceModel, f: InvariantFunction,
                         short_coeff_factor: float = 2.0) -> CheckReport:
     """Grid verdict on (strict) plurisubharmonicity of f over the shadow.
 
-    The grid is evaluated in chunks of CHUNK_ROWS points.  Each minimum's
+    The grid is evaluated in chunks (see CHUNK_FLOATS).  Each minimum's
     witness is the first grid point (in ``chamber_grid`` order) attaining it.
     If a chunk fails, its points are evaluated one by one and the first
-    failing one is reported in a GridEvaluationError.
+    failing one is reported in a GridEvaluationError.  A grid that could need
+    more than MAX_GRID_JETS jet rows raises GridSizeError before it is built.
     """
+    perms = math.factorial(f.rank) if f.symmetrized else 1
+    jets = len(shadow.boxes) * math.comb(grid_n + shadow.rank - 1, shadow.rank) * perms
+    if jets > MAX_GRID_JETS:
+        raise GridSizeError(
+            f"{len(shadow.boxes)} box(es) x C({grid_n + shadow.rank - 1}, {shadow.rank}) "
+            f"chamber points x {perms} permutation(s) = {jets} jet rows, over the cap "
+            f"of {MAX_GRID_JETS}")
     grid = chamber_grid(shadow, grid_n)
     if not len(grid):
         raise ValueError("empty evaluation grid")
     classification = classify_domain(model, shadow)
 
+    rows = min(CHUNK_ROWS, max(1, CHUNK_FLOATS // (perms * f.rank ** 2)))
     minima = []
-    for start in range(0, len(grid), CHUNK_ROWS):
-        chunk = grid[start:start + CHUNK_ROWS]
+    for start in range(0, len(grid), rows):
+        chunk = grid[start:start + rows]
         try:
             minima.append(_block_minima(model, f, chunk, short_coeff_factor))
         except Exception as exc:  # noqa: BLE001 - reported with the point

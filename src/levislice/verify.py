@@ -35,7 +35,7 @@ from .levi import (
     short_generic,
     short_limit,
 )
-from .model import SpaceKind, SymmetricSpaceModel
+from .model import SpaceKind, SymmetricSpaceModel, json_float
 from .pshcheck import (
     Verdict,
     chamber_grid,
@@ -63,7 +63,7 @@ class SuiteResult:
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "worst": None if self.worst is None else float(self.worst),
+            "worst": None if self.worst is None else json_float(self.worst),
             "details": self.details,
         }
 
@@ -192,31 +192,31 @@ def suite_limit_continuity(seed: int = 0, count: int = 20, tol: float = 1e-5,
         H_on = np.array([0.0, other])
         jet_off = to_slice(f, H_off)
         jet_on = to_slice(f, H_on)
-        d = abs(a_diag_generic(jet_off, H_off, 0) - a_diag_limit(jet_on, 0))
+        d = float(abs(a_diag_generic(jet_off, H_off, 0) - a_diag_limit(jet_on, 0)))
         per_branch["a_diag"] = max(per_branch["a_diag"], d)
 
         H_off = np.array([a + offset, a])
         H_on = np.array([a, a])
-        d = abs(
+        d = float(abs(
             medium_generic(to_slice(f, H_off), H_off, 0, 1)
             - medium_limit_equal(to_slice(f, H_on), H_on, 0, 1)
-        )
+        ))
         per_branch["medium_equal"] = max(per_branch["medium_equal"], d)
 
         H_off = np.array([2.0 * offset, offset])
         H_on = np.array([0.0, 0.0])
-        d = abs(
+        d = float(abs(
             medium_generic(to_slice(f, H_off), H_off, 0, 1)
             - medium_limit_origin(to_slice(f, H_on), 0)
-        )
+        ))
         per_branch["medium_origin"] = max(per_branch["medium_origin"], d)
 
         H_off = np.array([offset, other])
         H_on = np.array([0.0, other])
-        d = abs(
+        d = float(abs(
             short_generic(to_slice(f, H_off), H_off, 0)
             - short_limit(to_slice(f, H_on), 0)
-        )
+        ))
         per_branch["short"] = max(per_branch["short"], d)
 
         z_off = np.array([offset, 0.5], dtype=complex)
@@ -288,10 +288,11 @@ def suite_positivity_transfer(seed: int = 0, count: int = 20,
             if worst_coeff <= 0.0:
                 violations += 1
     passed = violations == 0 and definite_count > 0
+    min_coeff_seen = json_float(min_coeff_seen)  # inf (no definite case) reads null
     return SuiteResult(
         name="positivity_transfer",
         passed=passed,
-        worst=float(min_coeff_seen) if math.isfinite(min_coeff_seen) else None,
+        worst=min_coeff_seen,
         details={"count": count, "definite_on_grid": definite_count,
                  "violations": violations,
                  "min_coefficient_seen": min_coeff_seen},
@@ -371,7 +372,7 @@ def suite_convess(seed: int = 0, count: int = 20) -> SuiteResult:
         g_values = [convess_G(f, (2.0, 1.0), p) for p in diag_points]
         if min(g_values) > 0.0:
             failures.append({"index": i, "stage": "falsification",
-                             "min_G": min(g_values)})
+                             "min_G": float(min(g_values))})
     return SuiteResult(
         name="convess",
         passed=not failures,

@@ -1,3 +1,5 @@
+import argparse
+import copy
 import json
 import math
 import os
@@ -6,8 +8,17 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levislice.cli import CONFIG_SCHEMA, REPORT_SCHEMAS, main
+import levislice.cli as cli
+from levislice.cli import (
+    CONFIG_SCHEMA,
+    REPORT_SCHEMAS,
+    SCHEMA_KEYWORDS,
+    main,
+    schema_violation,
+)
 
 
 def run_cli(capsys, tmp_path, command, config=None, extra=None):
@@ -121,11 +132,197 @@ def test_rank_twelve_symmetric_expression_parses(capsys, tmp_path):
 
 
 def test_cli_import_does_not_load_scipy():
-    code = "import sys, levislice.cli; print('scipy' in sys.modules)"
+    code = ("import sys, levislice.cli; "
+            "print([m for m in ('scipy', 'jsonschema') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+def test_main_builds_no_parser_per_call(capsys, tmp_path, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    config = {"model": {"rank": 1}, "shadow": {"rank": 1, "boxes": [{"lo": [0.0], "hi": [0.5]}]}}
+    for _ in range(2):
+        code, out, err = run_cli(capsys, tmp_path, "stein-classify", config)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["verdict"] == "stein"
+
+
+NON_FINITE_CONFIGS = [
+    # tolerance NaN used to give psh_not_strict with "tolerance": null; the
+    # least a-block eigenvalue here is 2.54, so the verdict is strictly_psh
+    ("psh-check", '{"model": {"rank": 2, "kind": "tube"}, "function": {"expr": "t1+t2"}, '
+                  '"shadow": {"rank": 2, "boxes": [{"lo": [0.1, 0.1], "hi": [0.5, 0.5]}]}, '
+                  '"tolerance": NaN}'),
+    # killing_b Infinity used to report null for every value and for killing_b
+    ("potential-eval", '{"model": {"rank": 1, "killing_b": Infinity}, "points": [[0.5]]}'),
+    ("potential-eval", '{"model": {"rank": 1}, "points": [[-Infinity]]}'),
+    ("levi-eval", '{"model": {"rank": 1}, "function": {"builtin": "killing_potential"}, '
+                  '"points": [[1e400]]}'),
+]
+
+
+@pytest.mark.parametrize("command,text", NON_FINITE_CONFIGS)
+def test_non_finite_config_number_exits_2(capsys, tmp_path, command, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code = main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ConfigError"
+    assert "is not a finite number" in error["message"]
+
+
+@pytest.mark.parametrize("command,config", [
+    # C(23, 8) chamber points x 8! permutations of a non-symmetric expression
+    ("psh-check", {"model": {"rank": 8}, "function": {"expr": "t1 + 2*t2"},
+                   "shadow": {"rank": 8, "boxes": [{"lo": [0.0] * 8, "hi": [0.9] * 8}]},
+                   "grid_n": 16}),
+    # the counterexample suite's rank-one grid
+    ("verify", {"grid_n": 2_000_000}),
+])
+def test_over_cap_grid_exits_2_before_building(capsys, tmp_path, monkeypatch, command, config):
+    import levislice.pshcheck as pshcheck
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("chamber_grid ran on an over-cap grid")
+
+    monkeypatch.setattr(pshcheck, "chamber_grid", no_grid)
+    code, out, err = run_cli(capsys, tmp_path, command, config)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError" and "over the cap" in error["message"]
+
+
+def test_potential_overflow_reports_null(capsys, tmp_path):
+    config = {"model": {"rank": 1, "killing_b": 1e300}, "points": [[100.0]]}
+    code, out, _ = run_cli(capsys, tmp_path, "potential-eval", config)
+    assert code == 0
+    assert json.loads(out)["results"][0]["moment_coefficients"] == [None]
+
+
+def _assert_json_native(value, where="report"):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, where
+            _assert_json_native(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _assert_json_native(item, f"{where}[{i}]")
+    else:
+        assert type(value) in (str, int, float, bool, type(None)), (where, type(value))
+        assert type(value) is not float or math.isfinite(value), where
+
+
+@pytest.mark.parametrize("command,config", [
+    ("levi-eval", dict(LEVI_CONFIG, model={"rank": 2, "kind": "nontube", "mult_short": 2},
+                       points=[[0.0, 0.0], [0.3, 0.3], [1.0, -0.5]])),
+    ("psh-check", {"model": {"rank": 2, "kind": "nontube", "mult_short": 2},
+                   "function": {"expr": "t1 + 2*t2^2"},
+                   "shadow": {"rank": 2, "boxes": [{"lo": [0.1, 0.2], "hi": [0.5, 0.6]}]},
+                   "grid_n": 4}),
+    ("stein-classify", {"model": {"rank": 2},
+                        "shadow": {"rank": 2, "boxes": [{"lo": [0.1, 0.5], "hi": [0.2, 0.6]}]}}),
+    ("envelope", {"model": {"rank": 2},
+                  "shadow": {"rank": 2, "boxes": [{"lo": [0.1, 0.5], "hi": [0.2, 0.6]}]}}),
+    ("potential-eval", {"model": {"rank": 1, "killing_b": 1e300},
+                        "points": [[0.0], [100.0]], "bergman_samples": [0.5]}),
+    ("verify", {"grid_n": 4}),
+])
+def test_reports_are_json_native(command, config):
+    """Reports hold plain str, int, finite float, bool and None, with no numpy
+    scalars, so ``json.dumps`` needs no conversion pass."""
+    _assert_json_native(cli._DISPATCH[command](copy.deepcopy(config)))
+
+
+def _subschemas(schema):
+    yield schema
+    items = [schema["items"]] if "items" in schema else []
+    for sub in (*schema.get("properties", {}).values(), *schema.get("oneOf", ()), *items):
+        yield from _subschemas(sub)
+
+
+def test_config_schema_uses_only_interpreted_keywords():
+    schemas = list(_subschemas(CONFIG_SCHEMA))
+    assert set().union(*schemas) <= SCHEMA_KEYWORDS
+    # the forms the interpreter reads: one type name, additionalProperties false
+    assert all(s["type"] in ("object", "array", "string", "number", "integer")
+               for s in schemas if "type" in s)
+    assert all(s["additionalProperties"] is False
+               for s in schemas if "additionalProperties" in s)
+
+
+# -- the schema interpreter against jsonschema ---------------------------------
+
+_DRAFT = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+BASE_CONFIGS = [
+    {"seed": 3, "model": {"rank": 2, "kind": "nontube", "mult_medium": 2, "mult_short": 2,
+                          "killing_b": 6.5},
+     "function": {"expr": "t1 + t2^2", "chart": "modulus"},
+     "shadow": {"rank": 2, "boxes": [{"lo": [0.0, 0.1], "hi": [0.5, 0.9]},
+                                     {"lo": [0.2, 0.2], "hi": [0.3, 0.4]}]},
+     "grid_n": 4, "tolerance": 1e-9, "short_coeff_factor": 1},
+    {"model": {"rank": 1, "kind": "tube", "killing_b": 8},
+     "function": {"builtin": "killing_potential", "chart": "slice"},
+     "points": [[0.5], [-1.0]], "bergman_samples": [0.1, 0.9], "short_coeff_factor": 2},
+    {"seed": 0, "grid_n": 2},
+]
+
+MUTANTS = [True, False, None, 0, 1, 2, -1, 0.0, 1.0, 2.0, 0.5, -0.5, 1.5, 1e-12,
+           "tube", "nontube", "modulus", "slice", "killing_potential", "t1", [], [0.5],
+           [[0.1, 0.2]], [True], {}, {"lo": [0.1], "hi": [0.2]}, {"rank": 2},
+           {"expr": "t1", "builtin": "killing_potential"}]
+KEYS = ["seed", "model", "rank", "kind", "killing_b", "expr", "builtin", "chart",
+        "boxes", "lo", "hi", "points", "grid_n", "tolerance", "bogus"]
+
+
+def _nodes(value, path=()):
+    yield path, value
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in children:
+        yield from _nodes(item, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    config = copy.deepcopy(draw(st.sampled_from(BASE_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(config))))
+        op = draw(st.sampled_from(["replace", "delete", "add", "empty"]))
+        if op == "replace" and path:
+            parent = config
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+        elif op == "delete" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif op == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(KEYS))] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+        elif op == "empty" and isinstance(node, (dict, list)):
+            node.clear()
+    return config
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_configs())
+def test_schema_interpreter_agrees_with_jsonschema(config):
+    errors = list(_DRAFT.iter_errors(config))
+    message = schema_violation(config, CONFIG_SCHEMA)
+    assert (message is None) == (not errors), (message, [e.message for e in errors])
+    if len(errors) == 1:
+        assert message == errors[0].message
+
+
+@pytest.mark.parametrize("config", BASE_CONFIGS)
+def test_base_configs_are_valid(config):
+    assert schema_violation(config, CONFIG_SCHEMA) is None and _DRAFT.is_valid(config)
 
 
 def test_stein_classify_fixture(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,24 @@ def test_partial_grid_failure_reports_first_failing_point(expr, monkeypatch):
         check_invariant_psh(TUBE1, f, FULL1, grid_n=8)
     assert np.array_equal(exc.value.point, grid[failing[0]])
     assert isinstance(exc.value.__cause__, ArithmeticError)
+
+
+def test_rank_eight_symmetrized_grid_stays_within_memory():
+    # 9 chamber points x 8! permutations; whole-grid batches and the kept
+    # (8!, 8, 8, 8) seed Hessians used to peak near 0.5 GB here
+    r = 8
+    model = SymmetricSpaceModel(rank=r)
+    shadow = ReinhardtShadow(r, [((0.0,) * r, (0.9,) * r)])
+    f = parse_invariant("t1 + 2*t2", r)
+    assert f.symmetrized
+    tracemalloc.start()
+    try:
+        report = check_invariant_psh(model, f, shadow, grid_n=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.STRICTLY_PSH
+    assert peak < 200 * 2**20
 
 
 def test_report_serialization():
