@@ -1,0 +1,86 @@
+"""Digests of every benchmark job's report, to check that a refactor keeps them.
+
+    python3 scripts/report_digest.py --src src [--seeds 101 102] [--passes 0 1] [--per-job]
+
+Imports ``levislice`` from the given ``src`` directory and runs, in this
+process, every job that ``perfbench/jobs.py`` makes for the given seeds and
+passes, for each of the three workloads, and then ``levislice verify``.  It
+prints one sha256 per workload and one for ``verify``, each over the exit
+code, stdout and stderr of its jobs in order; ``--per-job`` also prints each
+job's digest, to find where two runs differ.  Job configs are written to a
+temporary directory, so nothing is written in the checkout.
+
+Run it once with the ``src`` of each of two checkouts and compare the lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def run_job(main, command: str, config, path: str) -> str:
+    """sha256 of ``[rc, stdout, stderr]`` of one CLI call, its config written to path."""
+    argv = [command]
+    if config is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        argv += ["--config", path]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    blob = json.dumps([rc, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory holding the levislice package")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102])
+    parser.add_argument("--passes", type=int, nargs="+", default=[0, 1])
+    parser.add_argument("--per-job", action="store_true", help="print each job's digest")
+    args = parser.parse_args(argv)
+
+    src = Path(args.src).resolve()
+    if not (src / "levislice" / "cli.py").is_file():
+        print(f"no levislice sources under {src}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(src), str(PERFBENCH)]
+    import jobs
+    from levislice import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "job.json")
+        for workload in jobs.WORKLOADS:
+            total = hashlib.sha256()
+            count = 0
+            for seed in args.seeds:
+                for pass_idx in args.passes:
+                    for slot in range(jobs.pass_size(workload)):
+                        job = jobs.make_job(workload, seed, pass_idx, slot)
+                        digest = run_job(cli.main, job.command, job.config, path)
+                        total.update(digest.encode())
+                        count += 1
+                        if args.per_job:
+                            print(f"  {digest}  {workload} seed {seed} pass {pass_idx} "
+                                  f"slot {slot}: {job.label}")
+            print(f"{total.hexdigest()}  {workload} ({count} jobs)")
+        print(f"{run_job(cli.main, 'verify', None, path)}  verify")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

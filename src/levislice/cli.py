@@ -5,10 +5,12 @@ verify.  Configs are checked against ``CONFIG_SCHEMA`` by a built-in
 interpreter of the JSON Schema keywords it uses (``SCHEMA_KEYWORDS``), with
 unknown keys and non-finite numbers rejected; ``grid_n`` sets the evaluation
 grids of psh-check and verify only, since the shadow geometry of
-stein-classify and envelope is exact.  Exit codes:
-0 success (psh-check verdicts are data, not failures), 1 verify-suite failure,
-2 config error, 3 evaluation error; errors are emitted as JSON on stderr.
-Reports are byte-deterministic for a given config (fixed seeds, sorted keys).
+stein-classify and envelope is exact.  levi-eval, psh-check and verify
+evaluate points in the chunks of ``levi.assemble_chunks``, one float budget;
+a failing point is named in a ``GridEvaluationError``.  Exit codes: 0 success
+(psh-check verdicts are data), 1 verify-suite failure, 2 config error (over-cap
+grids and unwritable ``--out`` paths too), 3 evaluation error; errors are
+emitted as JSON on stderr.  Reports are byte-deterministic for a given config.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from typing import Optional
 
 from .funcspace import ExpressionError, InvariantFunction, parse_invariant
-from .levi import assemble
+from .levi import assemble_chunks
 from .model import SymmetricSpaceModel, json_float, positive_roots
 from .potential import (
     bergman_identify,
@@ -477,14 +479,8 @@ def cmd_levi_eval(config: dict) -> dict:
     f = _resolve_function(config, model)
     points = _check_points(config, model)
     factor = float(config.get("short_coeff_factor", 2))
-    try:
-        form = assemble(model, f, points, short_coeff_factor=factor)
-    except Exception:
-        # report the error of the first failing point, not of the whole stack
-        for H in points:
-            assemble(model, f, H, short_coeff_factor=factor)
-        raise
-    results = [form[i].to_json() for i in range(len(points))]
+    results = [form[i].to_json() for form in assemble_chunks(model, f, points, factor)
+               for i in range(len(form.point))]
     mults = {str(label): mult for label, mult in positive_roots(model)}
     return {
         "command": "levi-eval",
@@ -647,8 +643,11 @@ def main(argv: Optional[list] = None) -> int:
 
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _emit_error(ConfigError(f"cannot write report {args.out}: {exc}"), 2)
     else:
         sys.stdout.write(text)
 

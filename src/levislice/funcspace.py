@@ -269,6 +269,11 @@ class InvariantFunction:
     symmetrized: bool = False
     label: Optional[str] = None
 
+    @property
+    def jet_rows(self) -> int:
+        """Jet rows one point takes: r! for a permutation average, else 1."""
+        return math.factorial(self.rank) if self.symmetrized else 1
+
     def __call__(self, point: Sequence[float]) -> Jet2:
         point = np.asarray(point, dtype=float)
         with np.errstate(all="ignore"):
@@ -539,7 +544,7 @@ def _eval_ast(node, var):
         arg = _eval_ast(node[2], var)
         if isinstance(arg, Jet2):
             return _JET_FUNCS[node[1]](arg)
-        return getattr(math, node[1])(arg)
+        return getattr(np, node[1])(arg)
     a = _eval_ast(node[1], var)
     b = _eval_ast(node[2], var)
     if op == "+":
@@ -559,22 +564,24 @@ def _eval_ast(node, var):
     raise AssertionError(f"unhandled node {op}")
 
 
-def _is_permutation_symmetric(ast, r: int, trials: int = 4) -> bool:
+def _is_permutation_symmetric(ast, r: int, trials: int = 4) -> Optional[bool]:
     """Invariance under the r - 1 adjacent transpositions, which generate every
-    permutation, at random points."""
+    permutation, at the random probe points where the expression is defined
+    (None if there are none), all evaluated as one stack."""
     if r == 1:
         return True
-    rng = np.random.default_rng(20240613)
-    for _ in range(trials):
-        t = rng.uniform(0.05, 0.8, size=r)
-        base = _eval_ast(ast, list(t).__getitem__)
-        scale = 1.0 + abs(base)
-        for i in range(r - 1):
-            env = list(t)
-            env[i], env[i + 1] = env[i + 1], env[i]
-            if abs(_eval_ast(ast, env.__getitem__) - base) > 1e-10 * scale:
-                return False
-    return True
+    t = np.random.default_rng(20240613).uniform(0.05, 0.8, size=(trials, r))
+    # row 0 is the identity, row i + 1 swaps i and i + 1
+    order = [np.arange(r)] + [np.r_[:i, i + 1, i, i + 2:r] for i in range(r - 1)]
+    x = t[:, order]                                # (trials, r, r)
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(_eval_ast(ast, lambda j: x[..., j]), (trials, r))
+    base = values[:, :1]
+    defined = np.isfinite(base[:, 0])
+    if not defined.any():
+        return None
+    close = np.abs(values - base) <= 1e-10 * (1.0 + np.abs(base))
+    return bool(np.all(close[defined]))
 
 
 def parse_invariant(expr: str, r: int) -> InvariantFunction:
@@ -582,8 +589,9 @@ def parse_invariant(expr: str, r: int) -> InvariantFunction:
 
     Because the variables are squared moduli, the result is automatically
     torus-invariant and even in every slice coordinate.  Expressions that are
-    not symmetric under coordinate permutations are replaced by their
-    permutation average and flagged ``symmetrized=True``; above rank
+    not symmetric under coordinate permutations, or are defined at no probe
+    point of the symmetry check, are replaced by their permutation average
+    (exact for a symmetric one) and flagged ``symmetrized=True``; above rank
     ``MAX_SYMMETRIZE_RANK`` they raise ExpressionError instead.
     """
     if r < 1:
@@ -592,9 +600,10 @@ def parse_invariant(expr: str, r: int) -> InvariantFunction:
     ast = parser.parse()
     symmetric = _is_permutation_symmetric(ast, r)
     if not symmetric and r > MAX_SYMMETRIZE_RANK:
-        raise ExpressionError(
-            f"expression is not symmetric under coordinate permutations, and its "
-            f"permutation average is built only up to rank {MAX_SYMMETRIZE_RANK}", 0)
+        why = ("is not symmetric under coordinate permutations" if symmetric is False
+               else "is defined at no probe point, so its symmetry could not be checked")
+        raise ExpressionError(f"expression {why}, and its permutation average is built "
+                              f"only up to rank {MAX_SYMMETRIZE_RANK}", 0)
     perms = np.array([tuple(range(r))] if symmetric
                      else list(itertools.permutations(range(r))))
     # Permutations are one more batch axis: variable j of the AST reads

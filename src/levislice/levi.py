@@ -8,10 +8,13 @@ coefficient shared by the two medium-root blocks of each index pair j < l, and
 coordinate hyperplane or on the walls a_j = a_l; the analytic limit values are
 used inside a small threshold and the event is recorded as a flag.
 
-Everything here works on stacks: points of shape ``(..., r)`` give blocks of
-shape ``(..., r, r)`` and coefficients of shape ``(...)``, a single point
-being the 0-d case.  Every formula is evaluated on the whole stack and the
-limit branches are picked with ``np.where``.
+Everything here works on stacks: points ``(..., r)`` give one
+``LeviBlockForm`` of arrays, the a-block ``(..., r, r)`` and the medium and
+short coefficients as columns, a single point being the 0-d case.  Every
+formula is evaluated on the whole stack, all index pairs at once, and the
+limit branches are picked with ``np.where``.  ``assemble_chunks`` evaluates
+long stacks in chunks sized by one float budget, for levi-eval, psh-check and
+verify alike, and names the first point that fails.
 
 The complex side: for a torus-invariant function of the moduli, the complex
 Hessian in z-coordinates is assembled from the modulus-chart jet, and the two
@@ -21,9 +24,10 @@ e^{i theta_j}; ``congruence_check`` evaluates both sides independently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,65 +41,45 @@ DEGENERACY_EPS = 1e-6
 class LeviBlockForm:
     """Assembled block data of the form at chamber-reduced points.
 
-    ``point`` has shape ``(..., r)`` and ``a_block`` ``(..., r, r)``.
-    ``medium`` maps 0-based index pairs (j, l) with j < l to the shared
-    coefficient of both medium-root blocks; ``short`` maps 0-based indices to
-    the short-root coefficient (empty for tube models); ``limits`` maps each
-    ``limit:*`` flag to where a hyperplane-limit formula produced an entry.
-    Coefficients and limit masks have the leading shape ``(...)``;
+    ``point`` is ``(..., r)``, ``a_block`` ``(..., r, r)``, ``medium``
+    ``(..., r(r-1)/2)``, the coefficient of both medium-root blocks of each
+    pair j < l in ``np.triu_indices(r, 1)`` order, and ``short`` ``(..., r)``
+    (``(..., 0)`` for tube models).  ``limits``, boolean ``(..., F)``, marks
+    where the limit formula named in ``limit_names`` gave an entry.
     ``form[i]`` is the form at row i of a stack.
     """
 
     point: np.ndarray
     a_block: np.ndarray
-    medium: dict
-    short: dict
-    limits: dict
+    medium: np.ndarray
+    short: np.ndarray
+    limits: np.ndarray
+    limit_names: tuple
 
     @property
     def flags(self) -> list:
         """The ``limit:*`` flags raised, point by point in row order."""
-        names = list(self.limits)
-        hits = np.stack(list(self.limits.values()), axis=-1).reshape(-1, len(names))
-        return [names[k] for k in np.nonzero(hits)[1]]
+        hits = self.limits.reshape(-1, len(self.limit_names))
+        return [self.limit_names[k] for k in np.nonzero(hits)[1]]
 
     def __getitem__(self, idx) -> "LeviBlockForm":
-        return LeviBlockForm(
-            point=self.point[idx],
-            a_block=self.a_block[idx],
-            medium={k: v[idx] for k, v in self.medium.items()},
-            short={k: v[idx] for k, v in self.short.items()},
-            limits={k: v[idx] for k, v in self.limits.items()},
-        )
-
-    def min_medium(self):
-        """Least medium coefficient of each point (inf without medium blocks)."""
-        return _row_min(self.medium, self.point.shape[:-1])
-
-    def min_short(self):
-        """Least short coefficient of each point (inf without short blocks)."""
-        return _row_min(self.short, self.point.shape[:-1])
+        return LeviBlockForm(point=self.point[idx], a_block=self.a_block[idx],
+                             medium=self.medium[idx], short=self.short[idx],
+                             limits=self.limits[idx], limit_names=self.limit_names)
 
     def to_json(self) -> dict:
         """Report of a single point's form (``assemble`` keeps its entries finite)."""
+        pairs = itertools.combinations(range(1, len(self.point) + 1), 2)
         return {
             "point": self.point.tolist(),
             "a_block": self.a_block.reshape(-1).tolist(),
-            "medium_coeff": [
-                {"j": j + 1, "l": l + 1, "value": float(v)}
-                for (j, l), v in sorted(self.medium.items())
-            ],
-            "short_coeff": [
-                {"j": j + 1, "value": float(v)} for j, v in sorted(self.short.items())
-            ],
-            "flags": sorted(name for name, hit in self.limits.items() if hit),
+            "medium_coeff": [{"j": j, "l": l, "value": v}
+                             for (j, l), v in zip(pairs, self.medium.tolist())],
+            "short_coeff": [{"j": j, "value": v}
+                            for j, v in enumerate(self.short.tolist(), start=1)],
+            "flags": sorted(name for name, hit in zip(self.limit_names, self.limits)
+                            if hit),
         }
-
-
-def _row_min(coeffs: dict, shape: tuple):
-    if not coeffs:
-        return np.full(shape, math.inf)
-    return np.min(np.stack(list(coeffs.values()), axis=-1), axis=-1)
 
 
 # -- generic and limit formulas, exposed separately so the limit-continuity
@@ -177,6 +161,15 @@ def short_coeff_from_jet(jet: Jet2, H: np.ndarray, j, factor: float = 2.0) -> tu
     return value, limit
 
 
+def _limit_names(r: int, nontube: bool) -> tuple:
+    """Names of the limit masks, in ``LeviBlockForm.limits`` order."""
+    pairs = itertools.combinations(range(1, r + 1), 2)
+    return (tuple(f"limit:a{j}" for j in range(1, r + 1))
+            + tuple(f"limit:m{j},{l}:{kind}" for j, l in pairs
+                    for kind in ("origin", "equal"))
+            + tuple(f"limit:s{j}" for j in range(1, r + 1) if nontube))
+
+
 def assemble(model: SymmetricSpaceModel, f: InvariantFunction, H: Sequence[float],
              short_coeff_factor: float = 2.0) -> LeviBlockForm:
     """Chamber-reduce the points H, ``(..., r)``, and compute every block there.
@@ -188,26 +181,66 @@ def assemble(model: SymmetricSpaceModel, f: InvariantFunction, H: Sequence[float
     H = np.asarray(H, dtype=float)
     if H.shape[-1:] != (model.rank,):
         raise ValueError(f"point has shape {H.shape}, expected (..., {model.rank})")
-    dominant = np.sort(np.abs(H), axis=-1)[..., ::-1]
+    # contiguous: numpy takes a scalar path on a reversed single row, whose last
+    # digits differ from its vector loops', so rows would depend on the chunking
+    dominant = np.ascontiguousarray(np.sort(np.abs(H), axis=-1)[..., ::-1])
     jet = to_slice(f, dominant)
     M, a_limit = a_block_from_jet(jet, dominant)
-    limits = {f"limit:a{j + 1}": a_limit[..., j] for j in range(model.rank)}
-    medium = {}
-    for j in range(model.rank):
-        for l in range(j + 1, model.rank):
-            medium[(j, l)], origin, equal = medium_coeff_from_jet(jet, dominant, j, l)
-            limits[f"limit:m{j + 1},{l + 1}:origin"] = origin
-            limits[f"limit:m{j + 1},{l + 1}:equal"] = equal
-    short = {}
-    if model.kind is SpaceKind.NON_TUBE:
-        for j in range(model.rank):
-            short[j], limits[f"limit:s{j + 1}"] = short_coeff_from_jet(
-                jet, dominant, j, short_coeff_factor)
-    if not (np.all(np.isfinite(M)) and all(np.all(np.isfinite(v))
-                                           for v in (*medium.values(), *short.values()))):
+    pairs = np.triu_indices(model.rank, 1)
+    medium, origin, equal = medium_coeff_from_jet(jet, dominant, *pairs)
+    # origin and equal masks interleaved pair by pair
+    limits = [a_limit, np.stack([origin, equal], axis=-1).reshape(medium.shape[:-1] + (-1,))]
+    nontube = model.kind is SpaceKind.NON_TUBE
+    if nontube:
+        short, s_limit = short_coeff_from_jet(jet, dominant, np.arange(model.rank),
+                                              short_coeff_factor)
+        limits.append(s_limit)
+    else:
+        short = np.empty(dominant.shape[:-1] + (0,))
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(medium))
+            and np.all(np.isfinite(short))):
         raise NonFiniteJetError(f"non-finite block entry of {f.label or 'function'}")
     return LeviBlockForm(point=dominant, a_block=M, medium=medium, short=short,
-                         limits=limits)
+                         limits=np.concatenate(limits, axis=-1),
+                         limit_names=_limit_names(model.rank, nontube))
+
+
+class GridEvaluationError(RuntimeError):
+    """Evaluation failed at one point of a stack; carries the offending point."""
+
+    def __init__(self, point, cause):
+        self.point = np.asarray(point, dtype=float)
+        super().__init__(f"evaluation failed at point {self.point.tolist()}: {cause}")
+
+
+# A chunk of rows holds rows * P * r^2 floats per Hessian, P = ``f.jet_rows``:
+# chunks take CHUNK_FLOATS // (P r^2) rows, at least 1 and at most
+# CHUNK_ROWS, whatever the number of points.
+CHUNK_FLOATS = 1 << 20
+CHUNK_ROWS = 1024
+
+
+def assemble_chunks(model: SymmetricSpaceModel, f: InvariantFunction, points: Sequence,
+                    short_coeff_factor: float = 2.0) -> Iterator[LeviBlockForm]:
+    """Yield the form of each consecutive chunk of the ``(N, r)`` points.
+
+    If a chunk fails, its points are assembled one by one and the first
+    failing one is reported in a GridEvaluationError.
+    """
+    points = np.asarray(points, dtype=float)
+    rows = min(CHUNK_ROWS, max(1, CHUNK_FLOATS // (f.jet_rows * model.rank ** 2)))
+    for start in range(0, len(points), rows):
+        chunk = points[start:start + rows]
+        try:
+            form = assemble(model, f, chunk, short_coeff_factor)
+        except Exception as exc:  # noqa: BLE001 - reported with the point
+            for H in chunk:
+                try:
+                    assemble(model, f, H, short_coeff_factor)
+                except Exception as row_exc:  # noqa: BLE001
+                    raise GridEvaluationError(H, row_exc) from row_exc
+            raise GridEvaluationError(chunk[0], exc) from exc
+        yield form
 
 
 # -- complex side -------------------------------------------------------------
@@ -259,12 +292,6 @@ class CongruenceReport:
     discrepancy: float
     complex_side: np.ndarray
     slice_side: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "point": [[float(z.real), float(z.imag)] for z in self.point],
-            "discrepancy": float(self.discrepancy),
-        }
 
 
 def congruence_check(f: InvariantFunction, z: Sequence[complex]) -> CongruenceReport:

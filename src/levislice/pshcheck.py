@@ -8,10 +8,11 @@ directly, except that strictness claims for non-tube models on non-complete
 shadows are downgraded to Inconclusive (such domains are never Stein and the
 equivalence breaks down there).
 
-The evaluation grid is an ``(N, r)`` array of chamber points, evaluated as
-stacks: one jet, one block assembly and one ``np.linalg.eigvalsh`` per chunk
-of points.  Each reported minimum's witness is the first grid point, in grid
-order, that attains it; ties within rounding go to the earlier point.
+The evaluation grid is an ``(N, r)`` array of chamber points, evaluated in
+the chunks of ``levi.assemble_chunks``: one jet, one block assembly and one
+``np.linalg.eigvalsh`` per chunk.  Each reported minimum's witness is the
+first grid point, in grid order, that attains it; ties within rounding go to
+the earlier point.
 
 All verdicts are certificates over the evaluation grid only, and the report
 says so.
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .funcspace import InvariantFunction, slice_value, to_slice
-from .levi import assemble
+from .levi import LeviBlockForm, assemble_chunks
 from .model import SpaceKind, SymmetricSpaceModel, json_float
 from .reinhardt import ReinhardtShadow, classify_domain
 
@@ -37,14 +38,6 @@ class Verdict(Enum):
     PSH_NOT_STRICT = "psh_not_strict"
     NOT_PSH = "not_psh"
     INCONCLUSIVE = "inconclusive"
-
-
-class GridEvaluationError(RuntimeError):
-    """Evaluation failed at a grid point; carries the offending point."""
-
-    def __init__(self, point, cause):
-        super().__init__(f"evaluation failed at grid point {list(point)}: {cause}")
-        self.point = np.asarray(point, dtype=float)
 
 
 class GridSizeError(ValueError):
@@ -115,22 +108,17 @@ def _first_unique(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return rows[np.sort(order[first])]
 
 
-# A batch of rows holds rows * P * r^2 floats per Hessian, P = r! for a
-# symmetrized expression and 1 otherwise: batches take CHUNK_FLOATS // (P r^2)
-# rows, at least 1 and at most CHUNK_ROWS, whatever the grid size.
-CHUNK_FLOATS = 1 << 20
-CHUNK_ROWS = 1024
-# Cap on boxes * C(grid_n + r - 1, r) * P, the jet rows a grid can need,
-# checked before the grid is built.
+# Cap on boxes * C(grid_n + r - 1, r) * f.jet_rows, the jet rows a grid can
+# need, checked before the grid is built.
 MAX_GRID_JETS = 1 << 20
 
 
-def _block_minima(model: SymmetricSpaceModel, f: InvariantFunction, H: np.ndarray,
-                  short_coeff_factor: float) -> tuple:
-    """Least a-block eigenvalue, medium and short coefficient at each point."""
-    form = assemble(model, f, H, short_coeff_factor=short_coeff_factor)
-    return (np.linalg.eigvalsh(form.a_block)[..., 0], form.min_medium(),
-            form.min_short())
+def _block_minima(form: LeviBlockForm) -> tuple:
+    """Least a-block eigenvalue, medium and short coefficient at each point
+    (inf where the form has no medium or no short block)."""
+    return (np.linalg.eigvalsh(form.a_block)[..., 0],
+            np.min(form.medium, axis=-1, initial=math.inf),
+            np.min(form.short, axis=-1, initial=math.inf))
 
 
 def check_invariant_psh(model: SymmetricSpaceModel, f: InvariantFunction,
@@ -139,37 +127,25 @@ def check_invariant_psh(model: SymmetricSpaceModel, f: InvariantFunction,
                         short_coeff_factor: float = 2.0) -> CheckReport:
     """Grid verdict on (strict) plurisubharmonicity of f over the shadow.
 
-    The grid is evaluated in chunks (see CHUNK_FLOATS).  Each minimum's
-    witness is the first grid point (in ``chamber_grid`` order) attaining it.
-    If a chunk fails, its points are evaluated one by one and the first
-    failing one is reported in a GridEvaluationError.  A grid that could need
-    more than MAX_GRID_JETS jet rows raises GridSizeError before it is built.
+    The grid is evaluated by ``levi.assemble_chunks``, which reports the
+    first failing point in a GridEvaluationError.  Each minimum's witness is
+    the first grid point (in ``chamber_grid`` order) attaining it.  A grid
+    that could need more than MAX_GRID_JETS jet rows raises GridSizeError
+    before it is built.
     """
-    perms = math.factorial(f.rank) if f.symmetrized else 1
-    jets = len(shadow.boxes) * math.comb(grid_n + shadow.rank - 1, shadow.rank) * perms
+    jets = len(shadow.boxes) * math.comb(grid_n + shadow.rank - 1, shadow.rank) * f.jet_rows
     if jets > MAX_GRID_JETS:
         raise GridSizeError(
             f"{len(shadow.boxes)} box(es) x C({grid_n + shadow.rank - 1}, {shadow.rank}) "
-            f"chamber points x {perms} permutation(s) = {jets} jet rows, over the cap "
+            f"chamber points x {f.jet_rows} permutation(s) = {jets} jet rows, over the cap "
             f"of {MAX_GRID_JETS}")
     grid = chamber_grid(shadow, grid_n)
     if not len(grid):
         raise ValueError("empty evaluation grid")
     classification = classify_domain(model, shadow)
 
-    rows = min(CHUNK_ROWS, max(1, CHUNK_FLOATS // (perms * f.rank ** 2)))
-    minima = []
-    for start in range(0, len(grid), rows):
-        chunk = grid[start:start + rows]
-        try:
-            minima.append(_block_minima(model, f, chunk, short_coeff_factor))
-        except Exception as exc:  # noqa: BLE001 - reported with the point
-            for H in chunk:
-                try:
-                    _block_minima(model, f, H, short_coeff_factor)
-                except Exception as row_exc:  # noqa: BLE001
-                    raise GridEvaluationError(H, row_exc) from row_exc
-            raise GridEvaluationError(chunk[0], exc) from exc
+    minima = [_block_minima(form)
+              for form in assemble_chunks(model, f, grid, short_coeff_factor)]
     eigs, mediums, shorts = (np.concatenate(m) for m in zip(*minima))
 
     def least(values):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levislice.cli as cli
+import levislice.levi as levi
+import levislice.pshcheck as pshcheck
 from levislice.cli import (
     CONFIG_SCHEMA,
     REPORT_SCHEMAS,
@@ -97,6 +100,69 @@ def test_evaluation_error_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, tmp_path, "psh-check", config)
     assert code == 3
     assert json.loads(err)["error"]["type"] == "GridEvaluationError"
+
+
+def test_levi_eval_error_names_first_failing_point(capsys, tmp_path, monkeypatch):
+    # log(0.45 - t1) is undefined from tanh(a)^2 >= 0.45 on: first at [0.9],
+    # which sits in the second chunk
+    monkeypatch.setattr(levi, "CHUNK_ROWS", 2)
+    config = {"model": {"rank": 1}, "function": {"expr": "log(0.45 - t1)"},
+              "points": [[0.1], [0.2], [0.9], [1.2]]}
+    code, out, err = run_cli(capsys, tmp_path, "levi-eval", config)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "GridEvaluationError"
+    assert error["message"].startswith("evaluation failed at point [0.9]: ")
+
+
+def test_levi_eval_report_does_not_depend_on_chunking(capsys, tmp_path, monkeypatch):
+    config = {"model": {"rank": 3, "kind": "nontube", "mult_short": 2},
+              "function": {"expr": "t1 + 2*t2^2 + exp(t3)"},
+              "points": [[0.0, 0.0, 0.0], [0.4, -0.4, 1.0], [1.1, 0.0, 0.3],
+                         [0.2, 0.5, 0.9], [-0.7, 0.1, 0.1]]}
+    outs = []
+    for rows in (2, 1024):
+        monkeypatch.setattr(levi, "CHUNK_ROWS", rows)
+        code, out, err = run_cli(capsys, tmp_path, "levi-eval", config)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["results"]) == 5
+
+
+def test_levi_eval_memory_is_bounded_by_chunks(capsys, tmp_path):
+    # 64 points x 7! permutations in one batch peaked near 85 MB
+    config = {"model": {"rank": 7}, "function": {"expr": "t1 + 2*t2"},
+              "points": [[0.1 * (k % 9), 0.05 * (k % 5), 0.3, 0.2, 0.1, 0.4, 0.0]
+                         for k in range(64)]}
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, tmp_path, "levi-eval", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["results"]) == 64
+    assert peak < 40 * 2**20
+
+
+def test_symmetric_expression_undefined_at_the_probes_is_checked(capsys, tmp_path):
+    # defined on the shadow (t < 0.04), but at none of the symmetry probe points
+    config = {"model": {"rank": 2, "kind": "tube"},
+              "function": {"expr": "-log(0.04 - t1) - log(0.04 - t2)"},
+              "shadow": {"rank": 2, "boxes": [{"lo": [0.0, 0.0], "hi": [0.2, 0.2]}]}}
+    code, out, err = run_cli(capsys, tmp_path, "psh-check", config)
+    assert code == 0 and err == ""
+    assert json.loads(out)["report"]["verdict"] == "strictly_psh"
+
+
+def test_expression_undefined_at_the_probes_above_rank_eight_exits_2(capsys, tmp_path):
+    expr = " + ".join(f"log(0.01 - t{j})" for j in range(1, 10))
+    config = {"model": {"rank": 9}, "function": {"expr": expr}, "points": [[0.01] * 9]}
+    code, out, err = run_cli(capsys, tmp_path, "levi-eval", config)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError" and "could not be checked" in error["message"]
 
 
 def test_psh_check_verdict_is_data_not_failure(capsys, tmp_path):
@@ -194,6 +260,23 @@ def test_over_cap_grid_exits_2_before_building(capsys, tmp_path, monkeypatch, co
 
     monkeypatch.setattr(pshcheck, "chamber_grid", no_grid)
     code, out, err = run_cli(capsys, tmp_path, command, config)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError" and "over the cap" in error["message"]
+
+
+def test_verify_over_cap_positivity_grid_exits_2_before_building(capsys, tmp_path,
+                                                                 monkeypatch):
+    # the rank-one counterexample grid is under the cap; the rank-two
+    # positivity grid, C(1501, 2) points, is not
+    build = pshcheck.chamber_grid
+
+    def rank_one_grid(shadow, grid_n):
+        assert shadow.rank == 1, "chamber_grid ran on an over-cap grid"
+        return build(shadow, grid_n)
+
+    monkeypatch.setattr(pshcheck, "chamber_grid", rank_one_grid)
+    code, out, err = run_cli(capsys, tmp_path, "verify", {"grid_n": 1500})
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "ConfigError" and "over the cap" in error["message"]
@@ -395,6 +478,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0 and out == ""
     report = json.loads(out_path.read_text())
     assert report["command"] == "levi-eval"
+
+
+def test_unwritable_out_path_exits_2(capsys, tmp_path):
+    config = {"model": {"rank": 1}, "shadow": {"rank": 1, "boxes": [{"lo": [0.0], "hi": [0.5]}]}}
+    code, out, err = run_cli(capsys, tmp_path, "stein-classify", config,
+                             extra=["--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError" and "cannot write report" in error["message"]
 
 
 def test_seed_flag_overrides_config(capsys, tmp_path):

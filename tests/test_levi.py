@@ -18,6 +18,7 @@ from levislice.levi import (
     a_block_from_jet,
     assemble,
     congruence_check,
+    medium_coeff_from_jet,
     medium_generic,
     medium_limit_equal,
     reinhardt_levi,
@@ -93,13 +94,13 @@ def test_medium_killing_constant():
     rng = np.random.default_rng(2)
     for _ in range(20):
         H = np.sort(rng.uniform(0, 2, size=2))[::-1]
-        assert assemble(TUBE2, f, H).medium[(0, 1)] == pytest.approx(8.0, abs=1e-10)
+        assert assemble(TUBE2, f, H).medium[0] == pytest.approx(8.0, abs=1e-10)
 
 
 def test_medium_quadratic_on_wall():
     f = quadratic_slice(2)
     a = 0.8
-    val = assemble(TUBE2, f, [a, 0.0]).medium[(0, 1)]
+    val = assemble(TUBE2, f, [a, 0.0]).medium[0]
     assert val == pytest.approx(2 * a * math.sinh(2 * a) / math.sinh(a) ** 2, rel=1e-12)
     assert val == pytest.approx(4 * a / math.tanh(a), rel=1e-12)
 
@@ -157,14 +158,14 @@ def test_assemble_rank_one_has_only_a_block():
     model = SymmetricSpaceModel(rank=1)
     form = assemble(model, parse_invariant("t1", 1), [0.6])
     assert form.a_block.shape == (1, 1)
-    assert form.medium == {} and form.short == {}
+    assert form.medium.shape == (0,) and form.short.shape == (0,)
 
 
 def test_assemble_killing_tube():
     form = assemble(TUBE2, killing_potential_invariant(TUBE2), [1.0, 2.0])
     assert np.allclose(form.a_block, 8.0 * np.eye(2), atol=1e-12)
-    assert form.medium[(0, 1)] == pytest.approx(8.0, abs=1e-10)
-    assert form.short == {}
+    assert form.medium[0] == pytest.approx(8.0, abs=1e-10)
+    assert form.short.shape == (0,)
 
 
 def test_assemble_killing_nontube():
@@ -180,7 +181,7 @@ def test_assemble_weyl_equivariance():
     for w_H in weyl_orbit(H):
         other = assemble(TUBE2, f, w_H)
         assert np.allclose(other.a_block, base.a_block, atol=1e-12)
-        assert other.medium[(0, 1)] == pytest.approx(base.medium[(0, 1)], abs=1e-12)
+        assert other.medium[0] == pytest.approx(base.medium[0], abs=1e-12)
         assert np.allclose(other.point, base.point)
 
 
@@ -370,15 +371,47 @@ def test_stacked_assemble_equals_rows(r, kind, chart):
         scale = 1e-12 * max(1.0, float(np.max(np.abs(want.a_block))))
         np.testing.assert_allclose(got.point, want.point, rtol=0, atol=0)
         np.testing.assert_allclose(got.a_block, want.a_block, rtol=1e-12, atol=scale)
-        assert set(got.medium) == set(want.medium) and set(got.short) == set(want.short)
-        for key in want.medium:
-            np.testing.assert_allclose(got.medium[key], want.medium[key],
-                                       rtol=1e-12, atol=scale)
-        for key in want.short:
-            np.testing.assert_allclose(got.short[key], want.short[key],
-                                       rtol=1e-12, atol=scale)
+        assert got.medium.shape == want.medium.shape == (r * (r - 1) // 2,)
+        assert got.short.shape == want.short.shape
+        np.testing.assert_allclose(got.medium, want.medium, rtol=1e-12, atol=scale)
+        np.testing.assert_allclose(got.short, want.short, rtol=1e-12, atol=scale)
         assert got.flags == want.flags
         row_flags += want.flags
     assert stack.flags == row_flags
     if chart is not Chart.LOG:
         assert "limit:a1" in row_flags
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.TUBE, SpaceKind.NON_TUBE])
+@pytest.mark.parametrize("r", [1, 3, 4])
+def test_stacked_layout_matches_per_pair_formulas(r, kind):
+    # the columns of ``medium``, ``short`` and ``limits`` against the formulas
+    # evaluated one index pair and one index at a time
+    model = SymmetricSpaceModel(rank=r, kind=kind,
+                                mult_short=2 if kind is SpaceKind.NON_TUBE else 0)
+    f = _stack_function(r, Chart.MODULUS)
+    form = assemble(model, f, _stack_points(r, Chart.MODULUS, np.random.default_rng(r)))
+    jet = to_slice(f, form.point)
+    pairs = list(itertools.combinations(range(r), 2))
+    nontube = kind is SpaceKind.NON_TUBE
+    assert form.medium.shape == (len(form.point), len(pairs))
+    assert form.short.shape == (len(form.point), r if nontube else 0)
+    assert form.limits.dtype == bool
+    assert form.limits.shape == (len(form.point), len(form.limit_names))
+
+    names = [f"limit:a{j + 1}" for j in range(r)]
+    for k, (j, l) in enumerate(pairs):
+        value, origin, equal = medium_coeff_from_jet(jet, form.point, j, l)
+        np.testing.assert_array_equal(form.medium[:, k], value)
+        np.testing.assert_array_equal(
+            form.limits[:, form.limit_names.index(f"limit:m{j + 1},{l + 1}:origin")], origin)
+        np.testing.assert_array_equal(
+            form.limits[:, form.limit_names.index(f"limit:m{j + 1},{l + 1}:equal")], equal)
+        names += [f"limit:m{j + 1},{l + 1}:origin", f"limit:m{j + 1},{l + 1}:equal"]
+    for j in range(r if nontube else 0):
+        value, limit = short_coeff_from_jet(jet, form.point, j)
+        np.testing.assert_array_equal(form.short[:, j], value)
+        np.testing.assert_array_equal(form.limits[:, form.limit_names.index(f"limit:s{j + 1}")],
+                                      limit)
+        names.append(f"limit:s{j + 1}")
+    assert list(form.limit_names) == names

@@ -43,7 +43,7 @@ def test_diagonal():
     # its least diagonal entry
     f = parse_invariant("t1^2 - 0.8*t1", 2)
     H = _stack(np.random.default_rng(3), 2, 12)
-    eig, _, _ = _block_minima(TUBE2, f, H, 2.0)
+    eig, _, _ = _block_minima(assemble(TUBE2, f, H))
     for i, row in enumerate(H):
         M = assemble(TUBE2, f, row).a_block
         assert M[0, 1] == 0.0 and M[1, 0] == 0.0
@@ -54,8 +54,7 @@ def test_diagonal():
 def test_killing_block_constant():
     for model in (TUBE2, NONTUBE3):
         H = _stack(np.random.default_rng(7), model.rank, 20)
-        eig, medium, short = _block_minima(model, killing_potential_invariant(model),
-                                           H, 2.0)
+        eig, medium, short = _block_minima(assemble(model, killing_potential_invariant(model), H))
         assert eig.shape == (20,)
         assert np.allclose(eig, model.killing_b, atol=1e-10)
         assert np.allclose(medium, model.killing_b, atol=1e-9)
@@ -71,7 +70,7 @@ def test_min_eig_matches_numpy_oracle(r, coeffs, seed):
     model = SymmetricSpaceModel(rank=r, kind=SpaceKind.TUBE, killing_b=8.0)
     f = parse_invariant(_expression(coeffs, r), r)
     H = _stack(np.random.default_rng(seed), r, 8)
-    eig, _, _ = _block_minima(model, f, H, 2.0)
+    eig, _, _ = _block_minima(assemble(model, f, H))
     for i, row in enumerate(H):
         M = assemble(model, f, row).a_block
         expected = float(np.linalg.eigvalsh(M)[0])
@@ -96,8 +95,8 @@ def test_shift_property():
     eps = 0.37
     shifted = add_invariant([f, killing_potential_invariant(TUBE2)], [1.0, eps])
     H = _stack(np.random.default_rng(5), 2, 16)
-    base, _, _ = _block_minima(TUBE2, f, H, 2.0)
-    moved, _, _ = _block_minima(TUBE2, shifted, H, 2.0)
+    base, _, _ = _block_minima(assemble(TUBE2, f, H))
+    moved, _, _ = _block_minima(assemble(TUBE2, shifted, H))
     assert np.allclose(moved, base + eps * TUBE2.killing_b, atol=1e-10)
 
 

@@ -143,9 +143,9 @@ def test_levi_calibration_all_blocks_equal_b(kind, r):
         H = rng.uniform(-2.5, 2.5, size=r)
         form = assemble(model, f, H)
         assert np.allclose(form.a_block, 8.0 * np.eye(r), atol=1e-9)
-        for v in form.medium.values():
+        for v in form.medium:
             assert v == pytest.approx(8.0, abs=1e-9)
-        for v in form.short.values():
+        for v in form.short:
             assert v == pytest.approx(8.0, abs=1e-9)
 
 

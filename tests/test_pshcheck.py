@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from levislice.funcspace import Chart, InvariantFunction, Jet2, add_invariant, parse_invariant
-from levislice import pshcheck
-from levislice.levi import assemble
+from levislice import levi
+from levislice.levi import GridEvaluationError, assemble
 from levislice.model import SpaceKind, SymmetricSpaceModel
 from levislice.potential import killing_potential_invariant
 from levislice.pshcheck import (
     BoundaryMinimumError,
-    GridEvaluationError,
     Verdict,
     chamber_grid,
     check_invariant_psh,
@@ -148,7 +147,7 @@ def test_grid_evaluation_error_carries_point():
     "exp(exp(exp(5*t1)))",   # the jet overflows on part of the grid
 ])
 def test_partial_grid_failure_reports_first_failing_point(expr, monkeypatch):
-    monkeypatch.setattr(pshcheck, "CHUNK_ROWS", 2)  # the failure sits in a later chunk
+    monkeypatch.setattr(levi, "CHUNK_ROWS", 2)  # the failure sits in a later chunk
     f = parse_invariant(expr, 1)
     grid = chamber_grid(FULL1, 8)
     failing = []
