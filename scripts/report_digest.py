@@ -7,7 +7,8 @@ process, every job that ``perfbench/jobs.py`` makes for the given seeds and
 passes, for each of the three workloads, and then ``levislice verify``.  It
 prints one sha256 per workload and one for ``verify``, each over the exit
 code, stdout and stderr of its jobs in order; ``--per-job`` also prints each
-job's digest, to find where two runs differ.  Job configs are written to a
+job's digest and one digest per ``verify`` suite, to find where two runs
+differ.  Job configs are written to a
 temporary directory, so nothing is written in the checkout.
 
 Run it once with the ``src`` of each of two checkouts and compare the lines.
@@ -32,8 +33,12 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def run_job(main, command: str, config, path: str) -> str:
-    """sha256 of ``[rc, stdout, stderr]`` of one CLI call, its config written to path."""
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def call(main, command: str, config, path: str) -> list:
+    """``[rc, stdout, stderr]`` of one CLI call, its config written to path."""
     argv = [command]
     if config is not None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -42,8 +47,7 @@ def run_job(main, command: str, config, path: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    blob = json.dumps([rc, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return [rc, out.getvalue(), err.getvalue()]
 
 
 def main(argv=None) -> int:
@@ -51,7 +55,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="directory holding the levislice package")
     parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102])
     parser.add_argument("--passes", type=int, nargs="+", default=[0, 1])
-    parser.add_argument("--per-job", action="store_true", help="print each job's digest")
+    parser.add_argument("--per-job", action="store_true",
+                        help="print each job's and each verify suite's digest")
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -71,14 +76,20 @@ def main(argv=None) -> int:
                 for pass_idx in args.passes:
                     for slot in range(jobs.pass_size(workload)):
                         job = jobs.make_job(workload, seed, pass_idx, slot)
-                        digest = run_job(cli.main, job.command, job.config, path)
+                        digest = sha256(json.dumps(call(cli.main, job.command, job.config,
+                                                        path)))
                         total.update(digest.encode())
                         count += 1
                         if args.per_job:
                             print(f"  {digest}  {workload} seed {seed} pass {pass_idx} "
                                   f"slot {slot}: {job.label}")
             print(f"{total.hexdigest()}  {workload} ({count} jobs)")
-        print(f"{run_job(cli.main, 'verify', None, path)}  verify")
+        result = call(cli.main, "verify", None, path)
+        if args.per_job and result[1]:
+            for suite in json.loads(result[1])["suites"]:
+                print(f"  {sha256(json.dumps(suite, sort_keys=True))}  verify suite "
+                      f"{suite['name']}")
+        print(f"{sha256(json.dumps(result))}  verify")
     return 0
 
 

@@ -6,7 +6,6 @@ from .funcspace import (
     Chart,
     InvariantFunction,
     Jet2,
-    add_invariant,
     fd_jet,
     parse_invariant,
     to_slice,

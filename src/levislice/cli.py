@@ -510,7 +510,7 @@ def cmd_psh_check(config: dict) -> dict:
         "model": model.to_json(),
         "function": config["function"],
         "shadow": shadow.to_json(),
-        "classification": classify_domain(model, shadow).to_json(),
+        "classification": report.classification.to_json(),
         "report": report.to_json(),
     }
 

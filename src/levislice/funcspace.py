@@ -1,8 +1,7 @@
-"""Invariant functions on slice coordinates, in three charts, with exact jets.
+"""Invariant functions on slice coordinates, in two charts, with exact jets.
 
-A function can live in the slice chart (argument a in R^r), the modulus chart
-(argument rho = tanh a in [0,1)^r) or the logarithmic chart (argument
-s = log tanh a, requiring a > 0).  ``to_slice`` converts a native-chart jet
+A function lives in the slice chart (argument a in R^r) or the modulus chart
+(argument rho = tanh a in (-1,1)^r).  ``to_slice`` converts a native-chart jet
 into the value/gradient/Hessian with respect to the slice coordinates via the
 chain rule.  Derivatives are computed by truncated second-order Taylor
 arithmetic (``Jet2``); ``fd_jet`` is an independent finite-difference oracle
@@ -37,11 +36,6 @@ import numpy as np
 class Chart(Enum):
     SLICE = "slice"
     MODULUS = "modulus"
-    LOG = "log"
-
-
-class ChartDomainError(ValueError):
-    """Point violates the chart's domain (modulus outside hint, log at a <= 0)."""
 
 
 class NonFiniteJetError(ArithmeticError):
@@ -94,12 +88,6 @@ class Jet2:
     @staticmethod
     def constant(c: float, r: int) -> "Jet2":
         return Jet2(c, np.zeros(r), np.zeros((r, r)), _symmetrize=False)
-
-    @staticmethod
-    def variable(x: float, index: int, r: int) -> "Jet2":
-        g = np.zeros(r)
-        g[index] = 1.0
-        return Jet2(x, g, np.zeros((r, r)), _symmetrize=False)
 
     @property
     def rank(self) -> int:
@@ -290,8 +278,7 @@ def to_slice(f: InvariantFunction, H: Sequence[float]) -> Jet2:
     the chart chain rule.
 
     Modulus chart: d/da_j picks up sech^2(a_j) and the diagonal Hessian
-    correction -2 sinh a_j / cosh^3 a_j.  Log chart: s_j = log tanh a_j with
-    s_j' = 2 / sinh 2a_j, defined only for a_j > 0.
+    correction -2 sinh a_j / cosh^3 a_j.
     """
     H = np.asarray(H, dtype=float)
     if H.shape[-1:] != (f.rank,):
@@ -299,19 +286,10 @@ def to_slice(f: InvariantFunction, H: Sequence[float]) -> Jet2:
     if f.chart is Chart.SLICE:
         return f(H)
 
-    if f.chart is Chart.MODULUS:
-        jet = f(np.tanh(H))
-        with np.errstate(all="ignore"):
-            s1 = 1.0 / np.cosh(H) ** 2
-            diag = -jet.grad * 2.0 * np.sinh(H) / np.cosh(H) ** 3
-    else:  # log chart
-        if np.any(H <= 0):
-            raise ChartDomainError(f"log chart requires all a_j > 0, got {H}")
-        jet = f(np.log(np.tanh(H)))
-        with np.errstate(all="ignore"):
-            s1 = 2.0 / np.sinh(2.0 * H)
-            diag = jet.grad * (-4.0 * np.cosh(2.0 * H) / np.sinh(2.0 * H) ** 2)
-
+    jet = f(np.tanh(H))
+    with np.errstate(all="ignore"):
+        s1 = 1.0 / np.cosh(H) ** 2
+        diag = -jet.grad * 2.0 * np.sinh(H) / np.cosh(H) ** 3
     hess = jet.hess * _outer(s1, s1)
     idx = np.arange(f.rank)
     hess[..., idx, idx] += diag
@@ -331,29 +309,6 @@ def slice_value(f: InvariantFunction, H: Sequence[float]) -> float:
         return float(to_slice(f, H).value)
     except NonFiniteJetError:
         return math.inf
-
-
-def add_invariant(parts: Sequence[InvariantFunction],
-                  weights: Optional[Sequence[float]] = None,
-                  label: Optional[str] = None) -> InvariantFunction:
-    """Weighted sum of invariant functions, assembled in the slice chart."""
-    if not parts:
-        raise ValueError("empty sum")
-    r = parts[0].rank
-    if any(p.rank != r for p in parts):
-        raise ValueError("rank mismatch in sum")
-    w = [1.0] * len(parts) if weights is None else [float(x) for x in weights]
-
-    def eval_jet(H):
-        jets = [to_slice(p, H) for p in parts]
-        value = sum(wi * j.value for wi, j in zip(w, jets))
-        grad = sum(wi * j.grad for wi, j in zip(w, jets))
-        hess = sum(wi * j.hess for wi, j in zip(w, jets))
-        return Jet2(value, grad, hess)
-
-    return InvariantFunction(rank=r, chart=Chart.SLICE, eval_jet=eval_jet,
-                             symmetrized=any(p.symmetrized for p in parts),
-                             label=label)
 
 
 # ---------------------------------------------------------------------------

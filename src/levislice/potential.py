@@ -27,15 +27,6 @@ def rho_hat(t):
     return a - 2.0 * math.log(2.0) + 2.0 * np.log1p(np.exp(-a))
 
 
-def rho_hat_d1(t: float) -> float:
-    """(cosh t - 1)/sinh t, written as tanh(t/2) to avoid the 0/0 at t = 0."""
-    return math.tanh(0.5 * t)
-
-
-def rho_hat_d2(t: float) -> float:
-    return 0.5 / math.cosh(0.5 * t) ** 2
-
-
 def potential_value(model: SymmetricSpaceModel, H: Sequence[float]):
     """Value of the canonical potential at the slice points H, ``(..., r)``:
     (b/4) sum_j rho_hat(2 a_j)."""

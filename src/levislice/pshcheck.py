@@ -30,7 +30,7 @@ import numpy as np
 from .funcspace import InvariantFunction, slice_value, to_slice
 from .levi import LeviBlockForm, assemble_chunks
 from .model import SpaceKind, SymmetricSpaceModel, json_float
-from .reinhardt import ReinhardtShadow, classify_domain
+from .reinhardt import ClassifyResult, ReinhardtShadow, classify_domain
 
 
 class Verdict(Enum):
@@ -57,7 +57,11 @@ class CheckReport:
     witness_point: np.ndarray
     grid_spec: str
     tolerance: float
-    stein_shadow: bool
+    classification: ClassifyResult  # of the shadow, as the verdict used it
+
+    @property
+    def stein_shadow(self) -> bool:
+        return self.classification.stein
 
     def to_json(self) -> dict:
         return {
@@ -186,7 +190,7 @@ def check_invariant_psh(model: SymmetricSpaceModel, f: InvariantFunction,
         grid_spec=f"chamber grid, {grid_n} samples/axis, {len(grid)} points "
                   f"(certificate over the grid only)",
         tolerance=tolerance,
-        stein_shadow=classification.stein,
+        classification=classification,
     )
 
 

@@ -124,9 +124,6 @@ class ReinhardtShadow:
         # permutation-closed, so a cell on any hyperplane has an image on the first
         return bool(self.covered[0].any())
 
-    def down_closure(self) -> "ReinhardtShadow":
-        return ReinhardtShadow(self.rank, [((0.0,) * self.rank, hi) for _, hi in self.boxes])
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,

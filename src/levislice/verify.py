@@ -14,15 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .funcspace import (
-    Chart,
-    InvariantFunction,
-    Jet2,
-    add_invariant,
-    diag_matrix,
-    parse_invariant,
-    to_slice,
-)
+from .funcspace import InvariantFunction, parse_invariant, to_slice
 from .levi import (
     a_diag_generic,
     a_diag_limit,
@@ -92,11 +84,12 @@ def random_poly_expr(rng: np.random.Generator, r: int, max_terms: int = 3,
 
 def _perturbed_potential(model: SymmetricSpaceModel, rng: np.random.Generator,
                          epsilon: float = 0.05) -> InvariantFunction:
-    expr = random_poly_expr(rng, model.rank)
-    poly = parse_invariant(expr, model.rank)
-    pot = killing_potential_invariant(model)
-    return add_invariant([pot, poly], weights=[1.0, epsilon],
-                         label=f"killing + {epsilon}*({expr})")
+    """The Killing potential plus epsilon times a random polynomial, as one
+    expression: (b/4) sum_j rho_hat(2 a_j) is -(b/4) sum_j log(1 - t_j)."""
+    r = model.rank
+    poly = random_poly_expr(rng, r)
+    killing = " + ".join(f"log(1 - t{j + 1})" for j in range(r))
+    return parse_invariant(f"-({0.25 * model.killing_b!r})*({killing}) + {epsilon!r}*({poly})", r)
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +294,12 @@ def suite_positivity_transfer(seed: int = 0, count: int = 20,
 
 
 def _annulus_exhaustion(lo: float, hi: float) -> InvariantFunction:
-    """Convex-in-log exhaustion of an annular shadow: 2|s|^2 plus a log barrier."""
-    slo = math.log(lo)
-    shi = math.log(hi)
-
-    def eval_jet(s: np.ndarray) -> Jet2:
-        d_lo = s - slo
-        d_hi = shi - s
-        value = 2.0 * np.sum(s * s, axis=-1) - (
-            np.sum(np.log(d_lo), axis=-1) + np.sum(np.log(d_hi), axis=-1)
-        )
-        grad = 4.0 * s - 1.0 / d_lo + 1.0 / d_hi
-        hess = diag_matrix(4.0 + 1.0 / d_lo**2 + 1.0 / d_hi**2)
-        return Jet2(value, grad, hess, _symmetrize=False)
-
-    return InvariantFunction(rank=2, chart=Chart.LOG, eval_jet=eval_jet,
-                             label="annulus_exhaustion")
+    """Convex-in-log exhaustion of an annular shadow: with s_j = log rho_j =
+    log(t_j) / 2, the sum over j of 2 s_j^2 - log(s_j - log lo) - log(log hi - s_j)."""
+    slo, shi = math.log(lo), math.log(hi)
+    terms = [f"0.5*log(t{j})^2 - log(0.5*log(t{j}) - ({slo!r})) - log(({shi!r}) - 0.5*log(t{j}))"
+             for j in (1, 2)]
+    return parse_invariant(" + ".join(terms), 2)
 
 
 def suite_minimum_location(seed: int = 0, position_tol: float = 1e-6) -> SuiteResult:

@@ -22,6 +22,7 @@ from levislice.cli import (
     main,
     schema_violation,
 )
+from levislice.reinhardt import classify_domain
 
 
 def run_cli(capsys, tmp_path, command, config=None, extra=None):
@@ -176,6 +177,28 @@ def test_psh_check_verdict_is_data_not_failure(capsys, tmp_path):
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMAS["psh-check"])
     assert report["report"]["verdict"] == "not_psh"
+
+
+def test_psh_check_classifies_its_shadow_once(capsys, tmp_path, monkeypatch):
+    # the report's classification is the one the verdict used
+    calls = []
+
+    def counting(model, shadow):
+        calls.append(shadow)
+        return classify_domain(model, shadow)
+
+    monkeypatch.setattr(pshcheck, "classify_domain", counting)
+    monkeypatch.setattr(cli, "classify_domain", counting)
+    config = {
+        "model": {"rank": 2, "kind": "nontube"},
+        "function": {"expr": "t1 + t2"},
+        "shadow": {"rank": 2, "boxes": [{"lo": [0.2, 0.2], "hi": [0.6, 0.6]}]},
+    }
+    code, out, _ = run_cli(capsys, tmp_path, "psh-check", config)
+    assert code == 0 and len(calls) == 1
+    report = json.loads(out)
+    assert report["classification"]["verdict"] == "not_stein"
+    assert report["report"]["stein_shadow"] is False
 
 
 def test_rank_twelve_non_symmetric_expression_exits_2(capsys, tmp_path):

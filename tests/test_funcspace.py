@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levislice.funcspace import (
-    Chart,
-    ChartDomainError,
     ExpressionError,
-    InvariantFunction,
     Jet2,
     fd_jet,
     jet_exp,
@@ -25,13 +22,20 @@ from levislice.potential import killing_potential_invariant
 # -- Jet2 arithmetic ---------------------------------------------------------
 
 
+def variable(x: float, index: int, r: int) -> Jet2:
+    """The jet of coordinate ``index`` of R^r at the value x."""
+    g = np.zeros(r)
+    g[index] = 1.0
+    return Jet2(x, g, np.zeros((r, r)), _symmetrize=False)
+
+
 def test_jet_arithmetic_against_finite_differences():
     def f_plain(x):
         return math.exp(x[0]) * math.tanh(x[1]) + x[0] ** 3 / (1.0 + x[1] ** 2)
 
     def f_jet(x):
-        u = Jet2.variable(x[0], 0, 2)
-        v = Jet2.variable(x[1], 1, 2)
+        u = variable(x[0], 0, 2)
+        v = variable(x[1], 1, 2)
         return jet_exp(u) * jet_tanh(v) + u**3 / (1.0 + v**2)
 
     x = np.array([0.4, -0.8])
@@ -43,7 +47,7 @@ def test_jet_arithmetic_against_finite_differences():
 
 
 def test_jet_pow_at_zero_base():
-    u = Jet2.variable(0.0, 0, 1)
+    u = variable(0.0, 0, 1)
     sq = u**2
     assert sq.value == 0.0 and sq.grad[0] == 0.0 and sq.hess[0, 0] == 2.0
     cube = u**3
@@ -111,32 +115,6 @@ def test_to_slice_quartic_is_flat_at_origin():
     assert jet.value == 0.0
     assert jet.grad[0] == 0.0
     assert jet.hess[0, 0] == 0.0
-
-
-def test_to_slice_log_chart_identity_function():
-    # value log tanh a, slope 2/sinh(2a)
-    f = InvariantFunction(
-        rank=1,
-        chart=Chart.LOG,
-        eval_jet=lambda s: Jet2(s[0], np.ones(1), np.zeros((1, 1))),
-    )
-    a = 0.8
-    jet = to_slice(f, [a])
-    assert jet.value == pytest.approx(math.log(math.tanh(a)), rel=1e-14)
-    assert jet.grad[0] == pytest.approx(2.0 / math.sinh(2.0 * a), rel=1e-12)
-    oracle = fd_jet(lambda x: math.log(math.tanh(x[0])), np.array([a]), h=1e-5)
-    assert jet.grad[0] == pytest.approx(oracle.grad[0], abs=1e-8)
-    assert jet.hess[0, 0] == pytest.approx(oracle.hess[0, 0], abs=1e-5)
-
-
-def test_to_slice_log_chart_requires_positive_point():
-    f = InvariantFunction(
-        rank=1,
-        chart=Chart.LOG,
-        eval_jet=lambda s: Jet2(s[0], np.ones(1), np.zeros((1, 1))),
-    )
-    with pytest.raises(ChartDomainError):
-        to_slice(f, [0.0])
 
 
 # -- parser --------------------------------------------------------------------
@@ -237,7 +215,7 @@ def test_evenness_gradient_vanishes_on_walls(expr, r):
 
 
 def test_log_chart_matrix_identity():
-    # chamber-block matrix equals the log-chart Hessian scaled by
+    # chamber-block matrix equals the Hessian in s = log rho scaled by
     # 4 / (sinh 2a_j sinh 2a_l), at interior points
     from levislice.levi import a_block_from_jet
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from levislice.funcspace import add_invariant, parse_invariant, to_slice
+from levislice.funcspace import parse_invariant, to_slice
 from levislice.levi import a_block_from_jet, assemble, congruence_check
 from levislice.model import SpaceKind, SymmetricSpaceModel
 from levislice.potential import killing_potential_invariant
@@ -91,9 +91,12 @@ def test_full_spectrum_sorted():
 def test_shift_property():
     # the a-block is linear in the function and the Killing block is
     # killing_b * I, so adding eps times the potential shifts every minimum
-    f = parse_invariant("t1*t2 - 0.7*t1 + 0.2*t1^2", 2)
+    expr = "t1*t2 - 0.7*t1 + 0.2*t1^2"
+    f = parse_invariant(expr, 2)
     eps = 0.37
-    shifted = add_invariant([f, killing_potential_invariant(TUBE2)], [1.0, eps])
+    # the potential (b/4) sum_j rho_hat(2 a_j) is -(b/4) sum_j log(1 - t_j)
+    shifted = parse_invariant(
+        f"{expr} - {eps}*{TUBE2.killing_b / 4}*(log(1 - t1) + log(1 - t2))", 2)
     H = _stack(np.random.default_rng(5), 2, 16)
     base, _, _ = _block_minima(assemble(TUBE2, f, H))
     moved, _, _ = _block_minima(assemble(TUBE2, shifted, H))

@@ -12,9 +12,17 @@ from levislice.potential import (
     moment_coefficient,
     potential_value,
     rho_hat,
-    rho_hat_d1,
-    rho_hat_d2,
 )
+from levislice.verify import _perturbed_potential
+
+
+def rho_hat_d1(t: float) -> float:
+    """(cosh t - 1)/sinh t, written as tanh(t/2) to avoid the 0/0 at t = 0."""
+    return math.tanh(0.5 * t)
+
+
+def rho_hat_d2(t: float) -> float:
+    return 0.5 / math.cosh(0.5 * t) ** 2
 
 
 def test_profile_normalization_and_closed_form():
@@ -137,16 +145,20 @@ def test_levi_calibration_all_blocks_equal_b(kind, r):
         rank=r, kind=kind, mult_short=2 if kind is SpaceKind.NON_TUBE else 0,
         killing_b=8.0,
     )
-    f = killing_potential_invariant(model)
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        H = rng.uniform(-2.5, 2.5, size=r)
-        form = assemble(model, f, H)
-        assert np.allclose(form.a_block, 8.0 * np.eye(r), atol=1e-9)
-        for v in form.medium:
-            assert v == pytest.approx(8.0, abs=1e-9)
-        for v in form.short:
-            assert v == pytest.approx(8.0, abs=1e-9)
+    # the closed-form slice jets, and verify's perturbed potential with the
+    # perturbation off: the t-expression -(b/4) sum_j log(1 - t_j)
+    functions = [killing_potential_invariant(model),
+                 _perturbed_potential(model, np.random.default_rng(3), epsilon=0.0)]
+    for f in functions:
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            H = rng.uniform(-2.5, 2.5, size=r)
+            form = assemble(model, f, H)
+            assert np.allclose(form.a_block, 8.0 * np.eye(r), atol=1e-9)
+            for v in form.medium:
+                assert v == pytest.approx(8.0, abs=1e-9)
+            for v in form.short:
+                assert v == pytest.approx(8.0, abs=1e-9)
 
 
 def test_modulus_chart_potential_matches_slice_chart():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levislice.funcspace import Chart, InvariantFunction, Jet2, add_invariant, parse_invariant
+from levislice.funcspace import Chart, InvariantFunction, Jet2, fd_jet, parse_invariant, to_slice
 from levislice import levi
 from levislice.levi import GridEvaluationError, assemble
 from levislice.model import SpaceKind, SymmetricSpaceModel
@@ -116,9 +116,8 @@ def test_verdict_monotone_under_adding_potential():
     weak = parse_invariant("t1^2", 1)  # psh, not strict
     report = check_invariant_psh(TUBE1, weak, FULL1, grid_n=12)
     assert report.verdict is Verdict.PSH_NOT_STRICT
-    boosted = add_invariant(
-        [weak, killing_potential_invariant(TUBE1)], weights=[1.0, 0.5]
-    )
+    # plus half the potential (b/4) rho_hat(2 a_1) = -(b/4) log(1 - t1)
+    boosted = parse_invariant(f"t1^2 - 0.5*{TUBE1.killing_b / 4}*log(1 - t1)", 1)
     report2 = check_invariant_psh(TUBE1, boosted, FULL1, grid_n=12)
     assert report2.verdict is Verdict.STRICTLY_PSH
 
@@ -258,10 +257,31 @@ def test_minimum_of_annulus_exhaustion_is_diagonal():
     assert abs(rep.point[0] - rep.point[1]) < 1e-6
 
 
+def test_annulus_exhaustion_matches_closed_form_in_a():
+    # oracle: fd_jet of the exhaustion written in a, with log rho_j = log tanh a_j
+    lo, hi = 0.15, 0.55
+    slo, shi = math.log(lo), math.log(hi)
+    f = _annulus_exhaustion(lo, hi)
+
+    def closed_form(a):
+        s = np.log(np.tanh(a))
+        return float(2.0 * np.sum(s * s) - np.sum(np.log(s - slo)) - np.sum(np.log(shi - s)))
+
+    # log-moduli in the middle three fifths of (log lo, log hi): nearer the
+    # barriers the O(h^2) error of fd_jet outgrows its tolerances
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        H = np.arctanh(np.exp(slo + (shi - slo) * rng.uniform(0.2, 0.8, size=2)))
+        jet = to_slice(f, H)
+        oracle = fd_jet(closed_form, H)
+        assert jet.value == pytest.approx(closed_form(H), rel=1e-12)
+        assert np.allclose(jet.grad, oracle.grad, atol=max(1e-6, 1e-4 * abs(jet.value)))
+        assert np.allclose(jet.hess, oracle.hess, atol=max(1e-4, 1e-3 * abs(jet.value)))
+
+
 def test_minimum_argmin_is_weyl_stable():
     rep = locate_minimum(killing_potential_invariant(TUBE2), FULL2, grid_n=8)
     f = killing_potential_invariant(TUBE2)
-    from levislice.funcspace import to_slice
 
     base = to_slice(f, rep.point).value
     for image in weyl_orbit(rep.point):

@@ -101,9 +101,14 @@ def test_l_shape_is_not_complete():
     assert not is_complete(S)
 
 
+def down_closure(S):
+    """The shadow with every box grown down to the origin."""
+    return ReinhardtShadow(S.rank, [((0.0,) * S.rank, hi) for _, hi in S.boxes])
+
+
 def test_down_closure_commutes_with_symmetrization():
     box = ((0.3, 0.1), (0.5, 0.9))
-    sym_then_down = ReinhardtShadow(2, [box]).down_closure()
+    sym_then_down = down_closure(ReinhardtShadow(2, [box]))
     down_then_sym = ReinhardtShadow(
         2, [((0.0, 0.0), box[1])]
     )
