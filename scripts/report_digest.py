@@ -1,6 +1,7 @@
 """Digests of every benchmark job's report, to check that a refactor keeps them.
 
     python3 scripts/report_digest.py --src src [--seeds 101 102] [--passes 0 1] [--per-job]
+                                     [--traced]
 
 Imports ``levislice`` from the given ``src`` directory and runs, in this
 process, every job that ``perfbench/jobs.py`` makes for the given seeds and
@@ -8,8 +9,10 @@ passes, for each of the three workloads, and then ``levislice verify``.  It
 prints one sha256 per workload and one for ``verify``, each over the exit
 code, stdout and stderr of its jobs in order; ``--per-job`` also prints each
 job's digest and one digest per ``verify`` suite, to find where two runs
-differ.  Job configs are written to a
-temporary directory, so nothing is written in the checkout.
+differ.  ``--traced`` first installs the layer spans of ``perfbench/spans.py``,
+as ``perfbench/run.py --trace 1`` does, so that a span counter that raises, or
+a traced report that differs, shows as a changed digest.  Job configs are
+written to a temporary directory, so nothing is written in the checkout.
 
 Run it once with the ``src`` of each of two checkouts and compare the lines.
 """
@@ -57,6 +60,8 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, nargs="+", default=[0, 1])
     parser.add_argument("--per-job", action="store_true",
                         help="print each job's and each verify suite's digest")
+    parser.add_argument("--traced", action="store_true",
+                        help="run the jobs under perfbench's span tracer")
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -67,6 +72,12 @@ def main(argv=None) -> int:
     import jobs
     from levislice import cli
 
+    main = cli.main
+    if args.traced:
+        import spans
+
+        tracer = spans.Tracer()
+        main = spans.install(tracer)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "job.json")
         for workload in jobs.WORKLOADS:
@@ -76,15 +87,16 @@ def main(argv=None) -> int:
                 for pass_idx in args.passes:
                     for slot in range(jobs.pass_size(workload)):
                         job = jobs.make_job(workload, seed, pass_idx, slot)
-                        digest = sha256(json.dumps(call(cli.main, job.command, job.config,
-                                                        path)))
+                        if args.traced:
+                            tracer.job = count
+                        digest = sha256(json.dumps(call(main, job.command, job.config, path)))
                         total.update(digest.encode())
                         count += 1
                         if args.per_job:
                             print(f"  {digest}  {workload} seed {seed} pass {pass_idx} "
                                   f"slot {slot}: {job.label}")
             print(f"{total.hexdigest()}  {workload} ({count} jobs)")
-        result = call(cli.main, "verify", None, path)
+        result = call(main, "verify", None, path)
         if args.per_job and result[1]:
             for suite in json.loads(result[1])["suites"]:
                 print(f"  {sha256(json.dumps(suite, sort_keys=True))}  verify suite "

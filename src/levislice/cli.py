@@ -3,14 +3,15 @@
 Commands: levi-eval, psh-check, stein-classify, envelope, potential-eval,
 verify.  Configs are checked against ``CONFIG_SCHEMA`` by a built-in
 interpreter of the JSON Schema keywords it uses (``SCHEMA_KEYWORDS``), with
-unknown keys and non-finite numbers rejected; ``grid_n`` sets the evaluation
-grids of psh-check and verify only, since the shadow geometry of
-stein-classify and envelope is exact.  levi-eval, psh-check and verify
-evaluate points in the chunks of ``levi.assemble_chunks``, one float budget;
-a failing point is named in a ``GridEvaluationError``.  Exit codes: 0 success
-(psh-check verdicts are data), 1 verify-suite failure, 2 config error (over-cap
-grids and unwritable ``--out`` paths too), 3 evaluation error; errors are
-emitted as JSON on stderr.  Reports are byte-deterministic for a given config.
+unknown keys and non-finite numbers rejected; ``grid_n``, samples per axis per
+covered chamber cell, sets the evaluation grids of psh-check and verify only
+(the shadow geometry of stein-classify and envelope is exact), whose exact
+size is capped.  levi-eval, psh-check and verify evaluate points in the chunks
+of ``levi.assemble_chunks``, one float budget; a failing point is named in a
+``GridEvaluationError``.  Exit codes: 0 success (psh-check verdicts are data),
+1 verify-suite failure, 2 config error (over-cap grids and unwritable ``--out``
+paths too), 3 evaluation error; errors are emitted as JSON on stderr.  Reports
+are byte-deterministic for a given config.
 """
 
 from __future__ import annotations

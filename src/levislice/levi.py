@@ -214,10 +214,9 @@ class GridEvaluationError(RuntimeError):
 
 
 # A chunk of rows holds rows * P * r^2 floats per Hessian, P = ``f.jet_rows``:
-# chunks take CHUNK_FLOATS // (P r^2) rows, at least 1 and at most
-# CHUNK_ROWS, whatever the number of points.
+# chunks take CHUNK_FLOATS // (P r^2) rows, at least 1, whatever the number of
+# points.
 CHUNK_FLOATS = 1 << 20
-CHUNK_ROWS = 1024
 
 
 def assemble_chunks(model: SymmetricSpaceModel, f: InvariantFunction, points: Sequence,
@@ -228,7 +227,7 @@ def assemble_chunks(model: SymmetricSpaceModel, f: InvariantFunction, points: Se
     failing one is reported in a GridEvaluationError.
     """
     points = np.asarray(points, dtype=float)
-    rows = min(CHUNK_ROWS, max(1, CHUNK_FLOATS // (f.jet_rows * model.rank ** 2)))
+    rows = max(1, CHUNK_FLOATS // (f.jet_rows * model.rank ** 2))
     for start in range(0, len(points), rows):
         chunk = points[start:start + rows]
         try:

@@ -8,11 +8,12 @@ directly, except that strictness claims for non-tube models on non-complete
 shadows are downgraded to Inconclusive (such domains are never Stein and the
 equivalence breaks down there).
 
-The evaluation grid is an ``(N, r)`` array of chamber points, evaluated in
-the chunks of ``levi.assemble_chunks``: one jet, one block assembly and one
-``np.linalg.eigvalsh`` per chunk.  Each reported minimum's witness is the
-first grid point, in grid order, that attains it; ties within rounding go to
-the earlier point.
+A shadow is seen only through its covered chamber cells.  The evaluation
+grid, grid_n samples per axis per cell, has an exact size known before it is
+built; it is evaluated in the chunks of ``levi.assemble_chunks``: one jet, one
+block assembly and one ``np.linalg.eigvalsh`` per chunk.  Each reported
+minimum's witness is the first grid point, in grid order, that attains it;
+ties within rounding go to the earlier point.
 
 All verdicts are certificates over the evaluation grid only, and the report
 says so.
@@ -21,6 +22,7 @@ says so.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -30,7 +32,7 @@ import numpy as np
 from .funcspace import InvariantFunction, slice_value, to_slice
 from .levi import LeviBlockForm, assemble_chunks
 from .model import SpaceKind, SymmetricSpaceModel, json_float
-from .reinhardt import ClassifyResult, ReinhardtShadow, classify_domain
+from .reinhardt import ClassifyResult, ReinhardtShadow, chamber_cells, classify_domain
 
 
 class Verdict(Enum):
@@ -41,7 +43,7 @@ class Verdict(Enum):
 
 
 class GridSizeError(ValueError):
-    """The evaluation grid could need more than MAX_GRID_JETS jet rows."""
+    """The evaluation grid needs more than MAX_GRID_JETS jet rows."""
 
 
 class BoundaryMinimumError(RuntimeError):
@@ -76,44 +78,38 @@ class CheckReport:
         }
 
 
-def chamber_grid(shadow: ReinhardtShadow, grid_n: int) -> np.ndarray:
-    """Chamber-reduced slice points covering the shadow, grid_n samples/axis/box.
+def _cell_samples(cell: np.ndarray, grid_n: int) -> np.ndarray:
+    """Sample-index rows of a cell k_1 >= ... >= k_r, positions in ascending cell
+    order, non-decreasing within each run of equal cell indices, lexicographic."""
+    table = np.empty((1, 0), dtype=np.intp)
+    for p, c in enumerate(cell[::-1]):
+        # each row is followed by every sample >= its last one in the same run
+        low = table[:, -1] if p and c == cell[-p] else np.zeros(len(table), dtype=np.intp)
+        counts = grid_n - low
+        new = np.repeat(low - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        table = np.column_stack([np.repeat(table, counts, axis=0), new])
+    return table
 
-    Returns an ``(N, r)`` array of distinct points a_1 >= ... >= a_r >= 0 in
-    the order a walk over each box's index product (boxes in order,
-    lexicographic indices) first meets them.  The points of a box are built
-    one axis at a time as sorted partial tuples, keeping the first of equal
-    ones, so memory grows with the distinct points, not with grid_n^r.
+
+def chamber_grid(shadow: ReinhardtShadow, grid_n: int) -> np.ndarray:
+    """``(N, r)`` chamber points a_1 >= ... >= a_r >= 0, grid_n samples per axis
+    per covered cell, cell c of an axis at rho = cuts[c] + (cuts[c+1] - cuts[c]) k / grid_n.
+
+    Per ``chamber_cells`` cell, the ascending sample-index tuples that are
+    non-decreasing within each run of m equal cell indices, C(grid_n + m - 1, m)
+    tuples per run in ``itertools.combinations_with_replacement`` order, their
+    product across runs (lowest cells outermost), each reversed into a point.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    k = np.arange(grid_n)
-    per_box = []
-    for lo, hi in shadow.boxes:
-        points = np.empty((1, 0))
-        for j in range(shadow.rank):
-            axis = np.arctanh(lo[j] + (hi[j] - lo[j]) * k / grid_n)
-            # every partial tuple, in walk order, extended by every axis value
-            grown = np.concatenate([np.repeat(points, grid_n, axis=0),
-                                    np.tile(axis, len(points))[:, None]], axis=1)
-            points = -np.sort(-grown, axis=1)
-            points = _first_unique(points, points)
-        per_box.append(points)
-    points = np.concatenate(per_box)
-    return _first_unique(points, np.round(points, 12))
+    k, cuts = np.arange(grid_n), shadow.cuts
+    axis = np.array([np.arctanh(lo + (hi - lo) * k / grid_n)
+                     for lo, hi in zip(cuts[:-1], cuts[1:])])
+    return np.concatenate([axis[cell[::-1], _cell_samples(cell, grid_n)][:, ::-1]
+                           for cell in chamber_cells(shadow)])
 
 
-def _first_unique(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The rows whose key row equals no earlier one, in order."""
-    order = np.lexsort(keys.T)  # stable: equal keys stay in row order
-    ranked = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    return rows[np.sort(order[first])]
-
-
-# Cap on boxes * C(grid_n + r - 1, r) * f.jet_rows, the jet rows a grid can
-# need, checked before the grid is built.
+# Cap on a grid's jet rows, its exact size times f.jet_rows, checked before it is built.
 MAX_GRID_JETS = 1 << 20
 
 
@@ -131,21 +127,20 @@ def check_invariant_psh(model: SymmetricSpaceModel, f: InvariantFunction,
                         short_coeff_factor: float = 2.0) -> CheckReport:
     """Grid verdict on (strict) plurisubharmonicity of f over the shadow.
 
-    The grid is evaluated by ``levi.assemble_chunks``, which reports the
-    first failing point in a GridEvaluationError.  Each minimum's witness is
-    the first grid point (in ``chamber_grid`` order) attaining it.  A grid
-    that could need more than MAX_GRID_JETS jet rows raises GridSizeError
-    before it is built.
+    The grid is ``chamber_grid(shadow, grid_n)``, evaluated by
+    ``levi.assemble_chunks``, which reports the first failing point in a
+    GridEvaluationError.  Each minimum's witness is the first grid point (in
+    ``chamber_grid`` order) attaining it.  A grid of more than MAX_GRID_JETS
+    jet rows, counted exactly from the cells, raises GridSizeError unbuilt.
     """
-    jets = len(shadow.boxes) * math.comb(grid_n + shadow.rank - 1, shadow.rank) * f.jet_rows
-    if jets > MAX_GRID_JETS:
+    # a run of m equal cell indices takes C(grid_n + m - 1, m) sorted sample tuples
+    points = sum(math.prod(math.comb(grid_n + m - 1, m) for m in Counter(cell.tolist()).values())
+                 for cell in chamber_cells(shadow))
+    if points * f.jet_rows > MAX_GRID_JETS:
         raise GridSizeError(
-            f"{len(shadow.boxes)} box(es) x C({grid_n + shadow.rank - 1}, {shadow.rank}) "
-            f"chamber points x {f.jet_rows} permutation(s) = {jets} jet rows, over the cap "
-            f"of {MAX_GRID_JETS}")
+            f"{points} chamber points x {f.jet_rows} permutation(s) = "
+            f"{points * f.jet_rows} jet rows, over the cap of {MAX_GRID_JETS}")
     grid = chamber_grid(shadow, grid_n)
-    if not len(grid):
-        raise ValueError("empty evaluation grid")
     classification = classify_domain(model, shadow)
 
     minima = [_block_minima(form)
@@ -286,23 +281,19 @@ class MinimumReport:
         }
 
 
-def _boundary_margin(shadow: ReinhardtShadow, rho: np.ndarray) -> float:
-    """Distance from rho to the exhaustion-relevant boundary of its box.
-
-    Outer faces always count; inner faces count only when they sit off the
-    coordinate hyperplanes (an exhaustion blows up there too).
-    """
-    best = math.inf
-    for lo, hi in shadow.boxes:
-        if not all(l <= x < u for l, x, u in zip(lo, rho, hi)):
-            continue
-        margin = math.inf
-        for l, x, u in zip(lo, rho, hi):
-            margin = min(margin, u - x)
-            if l > 0.0:
-                margin = min(margin, x - l)
-        best = min(best, margin)
-    return best
+def _boundary_margin(shadow: ReinhardtShadow, rho: np.ndarray, reach: float) -> float:
+    """l-infinity distance from rho to the uncovered cells and the outer faces
+    rho_j = cuts[-1], not the coordinate hyperplanes: where an exhaustion blows
+    up.  Uncovered cells farther than ``reach`` are not looked at."""
+    cuts = np.asarray(shadow.cuts)
+    # per axis, the distance from rho_j to each cell's closed interval
+    gap = np.maximum(np.maximum(cuts[:-1] - rho[:, None], rho[:, None] - cuts[1:]), 0.0)
+    near = [np.flatnonzero(g < reach) for g in gap]
+    dist = np.zeros(())
+    for j, cells in enumerate(near):
+        dist = np.maximum(dist[..., None], gap[j, cells])
+    uncovered = dist[~shadow.covered[np.ix_(*near)]]
+    return min(float(np.min(cuts[-1] - rho)), float(np.min(uncovered, initial=math.inf)))
 
 
 def locate_minimum(f: InvariantFunction, shadow: ReinhardtShadow,
@@ -313,22 +304,16 @@ def locate_minimum(f: InvariantFunction, shadow: ReinhardtShadow,
     (derivative-free).  Raises BoundaryMinimumError when the minimizer presses
     against the shadow boundary, which violates the exhaustion hypothesis.
     """
-    grid = chamber_grid(shadow, grid_n)
-    if not len(grid):
-        raise ValueError("empty search grid")
-
-    best_point = None
-    best_value = math.inf
-    for H in grid:
+    best_point, best_value = None, math.inf
+    for H in chamber_grid(shadow, grid_n):
         v = slice_value(f, H)
         if v < best_value:
             best_value, best_point = v, H
-    if best_point is None or not math.isfinite(best_value):
+    if not math.isfinite(best_value):
         raise ValueError("no finite function value on the search grid")
 
     x = np.array(best_point, dtype=float)
-    step = 0.25
-    evals = 0
+    step, evals = 0.25, 0
     while step > 1e-9 and evals < 200000:
         improved = False
         for j in range(shadow.rank):
@@ -348,9 +333,9 @@ def locate_minimum(f: InvariantFunction, shadow: ReinhardtShadow,
 
     x = np.sort(np.abs(x))[::-1]  # report in chamber-canonical order
     rho = np.tanh(x)
-    margin = _boundary_margin(shadow, rho)
-    widths = [max(u - l for l, u in zip(lo, hi)) for lo, hi in shadow.boxes]
-    if margin < max(widths) / (2.0 * grid_n):
+    threshold = float(np.max(np.diff(shadow.cuts)[chamber_cells(shadow)])) / (2.0 * grid_n)
+    margin = _boundary_margin(shadow, rho, threshold)
+    if margin < threshold:
         raise BoundaryMinimumError(
             f"minimizer {x.tolist()} sits on the shadow boundary "
             f"(margin {margin:.3e}); the function does not exhaust the domain"

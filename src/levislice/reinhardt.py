@@ -7,8 +7,9 @@ cells, of shape ``(len(cuts) - 1,) * rank``.  Box algebra is exact on it:
 membership is a ``searchsorted`` lookup, completeness equality with the
 downward closure, connectedness a flood fill joining cells along faces and
 corners, equality a comparison on the union cuts, and the canonical boxes are
-the runs along the last axis.  The mask is dense: a cut grid of more than
-``MAX_MASK_CELLS`` cells is rejected with ValueError before allocation.
+the runs along the last axis; psh-check reads its ``chamber_cells``.  The
+mask is dense: a cut grid of more than ``MAX_MASK_CELLS`` cells is rejected
+with ValueError before allocation.
 
 Logarithmic convexity is exact on the mask too.  The log map is increasing in
 each coordinate, so the log image of S in (0,1)^r is the union of the log
@@ -175,6 +176,20 @@ def is_connected(S: ReinhardtShadow) -> bool:
             seen, grown = grown, _dilate(grown) & covered
         S._cache["connected"] = np.array_equal(seen, covered)
     return S._cache["connected"]
+
+
+def chamber_cells(S: ReinhardtShadow) -> np.ndarray:
+    """The covered cells k_1 >= ... >= k_r, one per permutation orbit (the
+    chamber is a strict fundamental domain), as a lexicographic ``(M, r)``
+    index array; the mask is cut to the chamber before its cells are listed."""
+    if "chamber_cells" not in S._cache:
+        k = np.arange(S.covered.shape[0])
+        chamber = S.covered
+        for i in range(S.rank - 1):
+            chamber = chamber & (k.reshape((-1,) + (1,) * (S.rank - 1 - i))
+                                 >= k.reshape((-1,) + (1,) * (S.rank - 2 - i)))
+        S._cache["chamber_cells"] = np.argwhere(chamber)
+    return S._cache["chamber_cells"]
 
 
 def _bounding_cube(S: ReinhardtShadow) -> tuple:

@@ -105,8 +105,8 @@ def test_evaluation_error_exits_3(capsys, tmp_path):
 
 def test_levi_eval_error_names_first_failing_point(capsys, tmp_path, monkeypatch):
     # log(0.45 - t1) is undefined from tanh(a)^2 >= 0.45 on: first at [0.9],
-    # which sits in the second chunk
-    monkeypatch.setattr(levi, "CHUNK_ROWS", 2)
+    # which sits in the second two-row chunk
+    monkeypatch.setattr(levi, "CHUNK_FLOATS", 2)
     config = {"model": {"rank": 1}, "function": {"expr": "log(0.45 - t1)"},
               "points": [[0.1], [0.2], [0.9], [1.2]]}
     code, out, err = run_cli(capsys, tmp_path, "levi-eval", config)
@@ -122,8 +122,9 @@ def test_levi_eval_report_does_not_depend_on_chunking(capsys, tmp_path, monkeypa
               "points": [[0.0, 0.0, 0.0], [0.4, -0.4, 1.0], [1.1, 0.0, 0.3],
                          [0.2, 0.5, 0.9], [-0.7, 0.1, 0.1]]}
     outs = []
-    for rows in (2, 1024):
-        monkeypatch.setattr(levi, "CHUNK_ROWS", rows)
+    # rows = floats // (3! permutations x 3^2): chunks of 2 rows, then one chunk
+    for floats in (2 * 6 * 9, levi.CHUNK_FLOATS):
+        monkeypatch.setattr(levi, "CHUNK_FLOATS", floats)
         code, out, err = run_cli(capsys, tmp_path, "levi-eval", config)
         assert code == 0 and err == ""
         outs.append(out)

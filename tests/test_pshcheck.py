@@ -1,17 +1,19 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from levislice.funcspace import Chart, InvariantFunction, Jet2, fd_jet, parse_invariant, to_slice
-from levislice import levi
+from levislice import levi, pshcheck
 from levislice.levi import GridEvaluationError, assemble
 from levislice.model import SpaceKind, SymmetricSpaceModel
 from levislice.potential import killing_potential_invariant
 from levislice.pshcheck import (
     BoundaryMinimumError,
+    GridSizeError,
     Verdict,
     chamber_grid,
     check_invariant_psh,
@@ -19,7 +21,7 @@ from levislice.pshcheck import (
     convess_properties,
     locate_minimum,
 )
-from levislice.reinhardt import ReinhardtShadow
+from levislice.reinhardt import ReinhardtShadow, chamber_cells
 from levislice.verify import _annulus_exhaustion
 
 TUBE1 = SymmetricSpaceModel(rank=1)
@@ -50,31 +52,70 @@ def test_chamber_grid_contains_origin_and_is_sorted():
 
 
 def _reference_grid(shadow, grid_n):
-    """The chamber grid walked point by point over each box's index product."""
-    seen, points = set(), []
-    for lo, hi in shadow.boxes:
-        axes = [[lo[j] + (hi[j] - lo[j]) * k / grid_n for k in range(grid_n)]
-                for j in range(shadow.rank)]
+    """Every covered cell walked point by point over its index product, each
+    point sorted into the chamber; grouped by chamber cell in lexicographic
+    order, each group in lexicographic order of its reversed points."""
+    cuts = shadow.cuts
+    groups = {}
+    for cell in np.argwhere(shadow.covered).tolist():
+        axes = [[cuts[c] + (cuts[c + 1] - cuts[c]) * k / grid_n for k in range(grid_n)]
+                for c in cell]
+        group = groups.setdefault(tuple(sorted(cell, reverse=True)), set())
         for rho in itertools.product(*axes):
-            a = np.sort(np.arctanh(np.asarray(rho)))[::-1]
-            key = tuple(np.round(a, 12))
-            if key not in seen:
-                seen.add(key)
-                points.append(a)
-    return np.array(points)
+            group.add(tuple(np.sort(np.arctanh(np.asarray(rho)))[::-1]))
+    points = [p for cell in sorted(groups) for p in sorted(groups[cell], key=lambda p: p[::-1])]
+    return np.array(points), list(groups)
 
 
-@pytest.mark.parametrize("shadow,grid_n", [
+def _grid_count(cells, grid_n):
+    """Sum over chamber cells of the product over runs of equal indices of
+    C(grid_n + m - 1, m), m the run length."""
+    return sum(math.prod(math.comb(grid_n + m - 1, m) for m in Counter(cell).values())
+               for cell in cells)
+
+
+GRID_SHADOWS = [
     (ReinhardtShadow(2, [((0.5, 0.0), (1.0, 1.0)), ((0.0, 0.5), (0.5, 1.0))]), 7),
     (ReinhardtShadow(2, [((0.0, 0.0), (0.9, 0.1)), ((0.0, 0.0), (0.1, 0.9))]), 6),
     (ReinhardtShadow(3, [((0.1, 0.2, 0.0), (0.6, 0.5, 0.3)),
                          ((0.2, 0.0, 0.2), (0.4, 0.7, 0.9))]), 5),
-])
+]
+
+
+@pytest.mark.parametrize("shadow,grid_n", GRID_SHADOWS)
 def test_chamber_grid_matches_pointwise_walk(shadow, grid_n):
     grid = chamber_grid(shadow, grid_n)
-    reference = _reference_grid(shadow, grid_n)
-    assert grid.shape == reference.shape
+    reference, cells = _reference_grid(shadow, grid_n)
     assert np.array_equal(grid, reference)
+    assert len(grid) == _grid_count(cells, grid_n)
+    assert np.array_equal(chamber_cells(shadow), sorted(cells))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("lo", [0.0, 0.14])
+@pytest.mark.parametrize("grid_n", [2, 5, 8])
+def test_cube_grid_is_combinations_with_replacement_order(r, lo, grid_n):
+    hi = 0.9
+    shadow = ReinhardtShadow(r, [((lo,) * r, (hi,) * r)])
+    axis = np.arctanh(lo + (hi - lo) * np.arange(grid_n) / grid_n)
+    expected = np.array([axis[list(k[::-1])] for k in
+                         itertools.combinations_with_replacement(range(grid_n), r)])
+    grid = chamber_grid(shadow, grid_n)
+    assert np.array_equal(grid, expected)
+    assert len(grid) == _grid_count([(0,) * r], grid_n) == math.comb(grid_n + r - 1, r)
+
+
+@pytest.mark.parametrize("shadow,grid_n", GRID_SHADOWS + [(FULL2, 9), (ANNULUS, 4)])
+def test_grid_cap_is_exact(shadow, grid_n, monkeypatch):
+    f = parse_invariant("t1 + 2*t2 + t2^2" if shadow.rank == 2 else "t1 + 2*t2 + t3^2",
+                        shadow.rank)
+    model = SymmetricSpaceModel(rank=shadow.rank)
+    jets = len(chamber_grid(shadow, grid_n)) * f.jet_rows
+    monkeypatch.setattr(pshcheck, "MAX_GRID_JETS", jets)
+    check_invariant_psh(model, f, shadow, grid_n=grid_n)
+    monkeypatch.setattr(pshcheck, "MAX_GRID_JETS", jets - 1)
+    with pytest.raises(GridSizeError, match=f"= {jets} jet rows, over the cap of {jets - 1}"):
+        check_invariant_psh(model, f, shadow, grid_n=grid_n)
 
 
 def test_killing_is_strictly_psh_on_full_shadow():
@@ -146,7 +187,7 @@ def test_grid_evaluation_error_carries_point():
     "exp(exp(exp(5*t1)))",   # the jet overflows on part of the grid
 ])
 def test_partial_grid_failure_reports_first_failing_point(expr, monkeypatch):
-    monkeypatch.setattr(levi, "CHUNK_ROWS", 2)  # the failure sits in a later chunk
+    monkeypatch.setattr(levi, "CHUNK_FLOATS", 2)  # 2-row chunks: the failure sits in a later one
     f = parse_invariant(expr, 1)
     grid = chamber_grid(FULL1, 8)
     failing = []
@@ -286,6 +327,26 @@ def test_minimum_argmin_is_weyl_stable():
     base = to_slice(f, rep.point).value
     for image in weyl_orbit(rep.point):
         assert to_slice(f, image).value == pytest.approx(base, abs=1e-10)
+
+
+def test_equal_shadows_give_the_same_minimum():
+    # the unit square, once as one box and once split at rho_1 = 0.5, through
+    # which the minimiser rho = (0.5, 0.5) of this function passes
+    whole = ReinhardtShadow(2, [((0.0, 0.0), (1.0, 1.0))])
+    split = ReinhardtShadow(2, [((0.0, 0.0), (0.5, 1.0)), ((0.5, 0.0), (1.0, 1.0))])
+    assert whole == split
+    f = parse_invariant("(t1-0.25)^2+(t2-0.25)^2", 2)
+    rep = locate_minimum(f, whole, grid_n=12)
+    assert rep.on_diagonal and rep.point[0] == pytest.approx(math.atanh(0.5), abs=1e-9)
+    assert locate_minimum(f, split, grid_n=12).to_json() == rep.to_json()
+
+
+def test_minimum_at_an_uncovered_corner_hits_boundary_error():
+    # the L-shape misses the cell [0.5, 1)^2, whose corner is the minimiser
+    shadow = ReinhardtShadow(2, [((0.0, 0.0), (1.0, 0.5)), ((0.0, 0.0), (0.5, 1.0))])
+    f = parse_invariant("(t1-0.25)^2+(t2-0.25)^2", 2)
+    with pytest.raises(BoundaryMinimumError):
+        locate_minimum(f, shadow, grid_n=12)
 
 
 def test_non_exhaustion_hits_boundary_error():
